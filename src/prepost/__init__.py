@@ -13,6 +13,7 @@ from .qcore import (
     HilbertSpace,
     Ket,
     Operator,
+    ProductKet,
     basis_ket,
     evolve,
     identity,

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-__all__ = ["SINCOS_MAX_ARG", "sincos", "hypot", "cabs", "cmul", "cdiv", "split_vdots"]
+__all__ = ["SINCOS_MAX_ARG", "sincos", "hypot", "cabs", "cmul", "cdiv", "join", "split_vdots"]
 
 # fdlibm's Cody-Waite split of pi/2 (e_rem_pio2.c): pio2_1 and pio2_2 hold 33
 # bits each, so n * pio2_k is exact for |n| <= 2^20; pio2_2t is the remaining
@@ -126,6 +126,14 @@ def cdiv(a: complex, b: complex) -> complex:
         (a.real * b.real + a.imag * b.imag) / den,
         (a.imag * b.real - a.real * b.imag) / den,
     )
+
+
+def join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex array with the given real and imaginary parts, without arithmetic."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def split_vdots(u: np.ndarray, vs) -> list:

@@ -24,12 +24,20 @@ The burst variant couples the system to one environment particle per window
 of duration tau. For product environment conditions the cross-correlations
 Delta_nm (n != m) vanish and each window's second-order contribution
 integrates to zero, so the two-state returns to rank one at every window
-boundary. Correlated environment conditions are integrated as written but
-have no independent oracle here and should be treated as unverified.
+boundary. Product kets (:func:`product_env_ket`) keep their per-particle
+factors, so their burst moments are one-particle quantities computed in
+O(n), with cross-correlations exactly zero and no 2^n amplitudes built;
+baths of many tens of particles are cheap. Correlated environment
+conditions (plain kets) take the dense O(n^2 2^n) route, which is also the
+oracle for the product route. They are integrated as written but have no
+independent oracle for the dynamics here and should be treated as
+unverified.
 
 The burst weak moments, the product kets and the particle operators' action
 are computed in real arithmetic of fixed order (:mod:`prepost.detmath`), so
-they are the same bits on every machine.
+they are the same bits on every machine. Each burst window's constants are
+computed once per window, by the one kernel behind :func:`burst_rhs` and
+:func:`integrate`.
 """
 
 from __future__ import annotations
@@ -41,8 +49,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detmath import cabs, cdiv, split_vdots
-from .qcore import SIGMA_Z, HilbertSpace, Ket, Operator
+from .detmath import cabs, cdiv, join, split_vdots
+from .qcore import SIGMA_Z, Ket, Operator, ProductKet
 from .twostate import FormalismError, TwoState, from_conditions, purity, schmidt_spectrum
 
 __all__ = [
@@ -158,25 +166,14 @@ def continuous_interaction(
     )
 
 
-def _join(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
+def product_env_ket(parts: Sequence[np.ndarray]) -> ProductKet:
+    """Product ket over one factor per environment particle.
 
-
-def product_env_ket(parts: Sequence[np.ndarray]) -> Ket:
-    """Product ket over one factor per environment particle (a real-split kron)."""
-    re, im = np.ones(1), np.zeros(1)
-    dims = []
-    for part in parts:
-        arr = np.asarray(part, dtype=complex).reshape(-1)
-        dims.append(arr.size)
-        re, im = (
-            (np.multiply.outer(re, arr.real) - np.multiply.outer(im, arr.imag)).reshape(-1),
-            (np.multiply.outer(re, arr.imag) + np.multiply.outer(im, arr.real)).reshape(-1),
-        )
-    return Ket(HilbertSpace(tuple(dims)), _join(re, im))
+    The ket keeps its factors, so the burst weak moments are one-particle
+    quantities; its 2^n amplitudes are built only if a dense consumer
+    (:func:`continuous_interaction`, :func:`from_conditions`) reads them.
+    """
+    return ProductKet(parts)
 
 
 def burst_interaction(
@@ -247,14 +244,53 @@ def _apply_particle(op: np.ndarray, k: int, dims: tuple, vec: np.ndarray) -> np.
     return out.reshape(-1)
 
 
+def _particle_moments(k: int, op: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """(L)_w and (L^2)_w - (L)_w^2 of one particle with conditions a, b.
+
+    Orthogonality is judged on this particle's overlap relative to |a||b|,
+    not on the product over all particles, which underflows for long
+    environments whose every factor is well conditioned.
+    """
+    dims = (a.size,)
+    applied = _apply_particle(op, 0, dims, a)
+    back = _apply_particle(op.conj().T, 0, dims, b)
+    den, first = split_vdots(b, [a, applied])
+    (second,) = split_vdots(back, [applied])
+    (aa,) = split_vdots(a, [a])
+    (bb,) = split_vdots(b, [b])
+    if cabs(den) <= 1e-12 * math.sqrt(aa.real) * math.sqrt(bb.real):
+        raise FormalismError(
+            f"orthogonal environment conditions on particle {k}: weak moments undefined"
+        )
+    lw = cdiv(first, den)
+    sw = cdiv(second, den)
+    # the same real-part order as the dense route's outer product
+    dd = complex(
+        sw.real - (lw.real * lw.real - lw.imag * lw.imag),
+        sw.imag - (lw.real * lw.imag + lw.imag * lw.real),
+    )
+    return lw, dd
+
+
 def weak_moments(spec: InteractionSpec) -> WeakMoments:
     """(L_i)_w and Delta_ij with respect to the free environment two-state.
 
-    For burst specs the moments are computed matrix-free from the boundary
-    kets, so long product environments stay cheap; product conditions make
-    Delta diagonal (no cross-particle weak correlations). The second moments
-    there are <L_i^dagger e2|L_j e1>, which needs 2n operator applications
-    instead of n^2, and every product and sum is real and of fixed order.
+    Burst specs take one of two routes, picked by the type of the boundary
+    kets:
+
+    - Product kets (:class:`~prepost.qcore.ProductKet`, as built by
+      :func:`product_env_ket`) make every moment a one-particle quantity:
+      (L_k)_w = <e2_k|L_k|e1_k>/<e2_k|e1_k> and
+      Delta_kk = (L_k^2)_w - (L_k)_w^2, with Delta_km exactly 0.0 for
+      k != m. The cost is O(n) and no 2^n amplitudes are built, and each
+      particle's overlap is checked for orthogonality on its own.
+    - Correlated kets (plain :class:`~prepost.qcore.Ket`) take the
+      matrix-free dense route: second moments <L_i^dagger e2|L_j e1> from
+      2n operator applications on the full kets, O(n^2 2^n). It is also the
+      oracle for the product route.
+
+    Both are real arithmetic of fixed order, the same bits on every machine.
+    The arrays have shapes (n,) and (n, n) either way.
     """
     if spec.kind == "continuous":
         mat = spec.env_rho0.mat
@@ -268,6 +304,14 @@ def weak_moments(spec: InteractionSpec) -> WeakMoments:
         for i in range(n):
             for j in range(n):
                 second[i, j] = np.trace(ops[i] @ ops[j] @ mat) / tr0
+    elif isinstance(spec.env_in, ProductKet) and isinstance(spec.env_out, ProductKet):
+        n = spec.n_bursts
+        l_w = np.empty(n, dtype=complex)
+        delta = np.zeros((n, n), dtype=complex)
+        pairs = zip(spec.env_in.factors, spec.env_out.factors)
+        for k, (op, (a, b)) in enumerate(zip(spec.particle_ops, pairs)):
+            l_w[k], delta[k, k] = _particle_moments(k, op, a, b)
+        return WeakMoments(l_w=l_w, delta=delta)
     else:
         e1 = spec.env_in.amps
         e2 = spec.env_out.amps
@@ -285,7 +329,7 @@ def weak_moments(spec: InteractionSpec) -> WeakMoments:
             second[i] = [cdiv(x, den) for x in split_vdots(back, applied)]
     # Delta = second - l_w l_w^T, the outer product in real parts
     lr, li = l_w.real, l_w.imag
-    delta = _join(
+    delta = join(
         second.real - (np.multiply.outer(lr, lr) - np.multiply.outer(li, li)),
         second.imag - (np.multiply.outer(lr, li) + np.multiply.outer(li, lr)),
     )
@@ -314,6 +358,41 @@ def modified_liouville_rhs(
     return out
 
 
+def _burst_window_rhs(spec: InteractionSpec, moments: WeakMoments, window: int):
+    """d rho / dt within one burst window, as a function of (t, rho).
+
+    The window's constants (its first moment, its diagonal weak uncertainty
+    and the cross-correlation sums over past and future partners) are
+    computed once here, not at every evaluation.
+    """
+    n_total = spec.n_bursts
+    tau = spec.tau
+    lam = spec.lam
+    sig = spec.sys_op
+    first = -1j * lam * moments.l_w[window]
+    diag = lam**2 * moments.delta[window, window]
+    mid = (2 * window + 1) * tau
+    # the cross-correlation terms are exactly zero for product conditions,
+    # and for the first (no past) and last (no future) windows
+    past = lam**2 * complex(np.sum(moments.delta[window, :window])) * (window * tau)
+    future = lam**2 * complex(np.sum(moments.delta[window, window + 1 :])) * (
+        (n_total - window - 1) * tau
+    )
+
+    def rhs(t: float, rs_mat: np.ndarray) -> np.ndarray:
+        sm = sig @ rs_mat
+        ms = rs_mat @ sig
+        out = first * (sm - ms)
+        out = out - diag * (2.0 * t - mid) * (rs_mat - sig @ ms)
+        if past:
+            out = out - past * (sig @ sm - sm @ sig)
+        if future:
+            out = out - future * (sig @ ms - ms @ sig)
+        return out
+
+    return rhs
+
+
 def burst_rhs(
     t: float,
     rs_mat: np.ndarray,
@@ -340,22 +419,7 @@ def burst_rhs(
         raise ValueError(f"time {t} outside the burst schedule [0, {big_t}]")
     if window is None:
         window = min(max(int(np.floor(t / tau + 1e-12)), 0), n_total - 1)
-    lam = spec.lam
-    sig = spec.sys_op
-    sm = sig @ rs_mat
-    ms = rs_mat @ sig
-    w = moments.l_w[window]
-    out = -1j * lam * w * (sm - ms)
-    out = out - lam**2 * moments.delta[window, window] * (
-        2.0 * t - (2 * window + 1) * tau
-    ) * (rs_mat - sig @ ms)
-    past = complex(np.sum(moments.delta[window, :window]))
-    if window > 0:
-        out = out - lam**2 * past * (window * tau) * (sig @ sm - sm @ sig)
-    future = complex(np.sum(moments.delta[window, window + 1 :]))
-    if window < n_total - 1:
-        out = out - lam**2 * future * ((n_total - window - 1) * tau) * (sig @ ms - ms @ sig)
-    return out
+    return _burst_window_rhs(spec, moments, window)(t, rs_mat)
 
 
 def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -412,7 +476,7 @@ def integrate(rs0: TwoState, spec: InteractionSpec, steps: int = 2000) -> Trajec
         per_window = max(1, round(steps / spec.n_bursts))
         h = spec.tau / per_window
         for n in range(spec.n_bursts):
-            rhs = lambda t, m, _n=n: burst_rhs(t, m, spec, moments, window=_n)
+            rhs = _burst_window_rhs(spec, moments, n)
             for k in range(per_window):
                 t_here = n * spec.tau + k * h
                 y = _rk4_step(rhs, t_here, y, h)

@@ -5,20 +5,26 @@ factor dimensions, so tensor products, partial traces and one-sided time
 evolution can validate shapes instead of trusting callers. Everything is
 plain numpy complex128; values are treated as immutable after construction
 (backing arrays are write-locked) and all operations are pure functions.
+A :class:`ProductKet` keeps its tensor factors and builds its amplitudes
+only when they are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
 
+from .detmath import join
+
 __all__ = [
     "HilbertSpace",
     "Ket",
+    "ProductKet",
     "Operator",
     "SIGMA_X",
     "SIGMA_Y",
@@ -103,6 +109,43 @@ class Ket:
         if n == 0.0:
             raise ValueError("cannot normalize a zero ket")
         return Ket(self.space, self.amps / n)
+
+
+class ProductKet(Ket):
+    """Product ket that keeps one amplitude vector per tensor factor.
+
+    ``factors[k]`` holds the amplitudes of factor k. Consumers of one-factor
+    quantities read the factors and never pay for the prod(dims) amplitudes;
+    dense consumers read ``amps``, which is built on first read as a
+    Kronecker product in real arithmetic of fixed order (the same bits on
+    every machine) and then kept.
+    """
+
+    def __init__(self, factors: Sequence[np.ndarray]):
+        parts = []
+        for f in factors:
+            arr = np.array(f, dtype=complex).reshape(-1)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("ket amplitudes must be finite")
+            arr.setflags(write=False)
+            parts.append(arr)
+        self.space = HilbertSpace(tuple(arr.size for arr in parts))
+        self.factors = tuple(parts)
+
+    def __repr__(self) -> str:
+        return f"ProductKet(factor_dims={self.space.factor_dims})"
+
+    @cached_property
+    def amps(self) -> np.ndarray:
+        re, im = np.ones(1), np.zeros(1)
+        for arr in self.factors:
+            re, im = (
+                (np.multiply.outer(re, arr.real) - np.multiply.outer(im, arr.imag)).reshape(-1),
+                (np.multiply.outer(re, arr.imag) + np.multiply.outer(im, arr.real)).reshape(-1),
+            )
+        out = join(re, im)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(eq=False)

@@ -282,6 +282,26 @@ def test_verify_failure_serializes_draw(monkeypatch, capsys):
     assert "g" in draw and "env_pre" in draw  # reproducible parameter draw
 
 
+def test_verify_spinbath_exact_judges_relative_to_the_entries():
+    # entries near 374 deviate by 1.8e-11 from rounding alone, a relative 4.9e-14
+    report = verify_mod.verify_spinbath_exact(1754200671000067, 20)
+    assert report.ok
+    assert report.checks[0].value < 1e-12
+
+
+def test_verify_spinbath_exact_fails_a_closed_form_off_by_1e9(monkeypatch):
+    exact = verify_mod.sb.exact_reduced_two_state
+
+    def off_by_1e9(p, t):
+        ts = exact(p, t)
+        ts.mat = ts.mat * (1 + 1e-9)
+        return ts
+
+    monkeypatch.setattr(verify_mod.sb, "exact_reduced_two_state", off_by_1e9)
+    report = verify_mod.verify_spinbath_exact(3, 8)
+    assert not report.ok
+
+
 def test_verify_through_config(tmp_path, capsys):
     data = {"scenario": "verify", "seed": 5, "verify": {"scenario": "parsel", "trials": 3}}
     code = main(["run", "--config", _write(tmp_path, data)])

@@ -1,5 +1,7 @@
 """Perturbative modified dynamics: weak moments, RK4 driver, closed forms, bursts."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from prepost.qcore import (
     random_ket,
     tensor,
 )
-from prepost.twostate import TwoState, purity
+from prepost.twostate import FormalismError, TwoState, purity
 from prepost import liouville as lv
 from prepost import spinbath as sb
 
@@ -133,6 +135,30 @@ def test_burst_moments_product_conditions_diagonal():
     for k in range(n):
         w = np.vdot(parts2[k], SIGMA_Z @ parts1[k]) / np.vdot(parts2[k], parts1[k])
         assert m.l_w[k] == pytest.approx(w, abs=1e-13)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_factorized_burst_moments_match_dense_route(hermitian):
+    # plain Ket copies of the same product states force the dense route,
+    # which is the oracle for the per-particle one
+    rng = np.random.default_rng(30 + hermitian)
+    dims = (2, 3, 2, 2, 3, 2, 3, 2, 2, 3, 2, 2)
+    n = len(dims)
+    e1 = lv.product_env_ket([rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims])
+    e2 = lv.product_env_ket([rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims])
+    ops = []
+    for d in dims:
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        ops.append((a + a.conj().T) / 2.0 if hermitian else a)
+    fact = lv.weak_moments(lv.burst_interaction(0.05, 0.1, ops, e1, e2))
+    dense = lv.weak_moments(
+        lv.burst_interaction(0.05, 0.1, ops, Ket(e1.space, e1.amps), Ket(e2.space, e2.amps))
+    )
+    assert fact.l_w.shape == (n,) and fact.delta.shape == (n, n)
+    scale = np.max(np.abs(dense.delta + np.outer(dense.l_w, dense.l_w)))
+    np.testing.assert_allclose(fact.l_w, dense.l_w, rtol=0, atol=1e-13 * scale)
+    np.testing.assert_allclose(fact.delta, dense.delta, rtol=0, atol=1e-13 * scale)
+    assert np.all(fact.delta[~np.eye(n, dtype=bool)] == 0.0)
 
 
 def test_burst_moments_detect_correlations():
@@ -344,6 +370,26 @@ def test_burst_rhs_midpoint_null():
         np.testing.assert_allclose(rhs, first, atol=1e-13)
 
 
+def test_burst_rhs_cross_terms_for_correlated_conditions():
+    # an entangled final condition makes Delta_01 nonzero: window 0 carries
+    # the future cross term, window 1 the past one
+    space = qubits(2)
+    e1 = Ket(space, np.array([0.5, 0.5, 0.5, 0.5]))
+    e2 = Ket(space, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+    spec = lv.burst_interaction(0.1, 0.1, [SIGMA_Z, SIGMA_Z], e1, e2)
+    m = lv.weak_moments(spec)
+    lam, tau, z = spec.lam, spec.tau, SIGMA_Z
+    mat = _generic_initial().mat
+    for n, t in ((0, 0.03), (1, 0.17)):
+        want = -1j * lam * m.l_w[n] * (z @ mat - mat @ z)
+        want -= lam**2 * m.delta[n, n] * (2 * t - (2 * n + 1) * tau) * (mat - z @ mat @ z)
+        if n == 1:
+            want -= lam**2 * m.delta[1, 0] * tau * (z @ z @ mat - z @ mat @ z)
+        else:
+            want -= lam**2 * m.delta[0, 1] * tau * (z @ mat @ z - mat @ z @ z)
+        np.testing.assert_allclose(lv.burst_rhs(t, mat, spec, m), want, rtol=0, atol=1e-15)
+
+
 def test_burst_rhs_time_domain_checked():
     rng = np.random.default_rng(5)
     spec = _product_burst(rng, 3)
@@ -388,3 +434,36 @@ def test_burst_boundary_recoherence():
         idx = k * per_window
         assert abs(traj.coherence[idx] - c0) < bound
         assert abs(traj.purity[idx] - 1.0) < bound
+
+
+def test_product_burst_of_64_particles_stays_factorized():
+    # 2^64 amplitudes cannot be allocated: the moments and the integration
+    # must work from the per-particle factors alone
+    # every pair overlap is cos(pi/3) = 0.5, their product 0.5^64 = 5e-20
+    rng = np.random.default_rng(8)
+    n, lam, tau = 64, 0.5, 0.04
+    theta = rng.uniform(0, 2 * np.pi, n)
+    pre = [np.array([np.cos(th), np.sin(th)]) for th in theta]
+    post = [np.array([np.cos(th + np.pi / 3), np.sin(th + np.pi / 3)]) for th in theta]
+    spec = lv.burst_interaction(
+        lam, tau, [SIGMA_Z] * n, lv.product_env_ket(pre), lv.product_env_ket(post)
+    )
+    s1 = np.array([0.6, 0.8j])
+    s2 = np.array([1.0, 1.0]) / np.sqrt(2)
+    rs0 = TwoState(QUBIT, np.outer(s1, s2.conj()), 0.0, spec.t_final, 0.0)
+    start = time.perf_counter()
+    m = lv.weak_moments(spec)
+    traj = lv.integrate(rs0, spec, steps=10 * n)
+    assert time.perf_counter() - start < 1.0
+    assert "amps" not in vars(spec.env_in) and "amps" not in vars(spec.env_out)
+    assert np.all(m.delta[~np.eye(n, dtype=bool)] == 0.0)
+    bound = 5 * lam**2 * tau**2
+    c0 = traj.coherence[0]
+    assert max(abs(traj.coherence[10 * k] - c0) for k in range(n + 1)) < bound
+
+    a, b = pre[5]
+    orthogonal = list(post)
+    orthogonal[5] = np.array([-b, a])
+    bad = lv.burst_interaction(lam, tau, [SIGMA_Z] * n, spec.env_in, lv.product_env_ket(orthogonal))
+    with pytest.raises(FormalismError, match="particle 5"):
+        lv.weak_moments(bad)
