@@ -49,7 +49,8 @@ from .spinbath import (
     suppression_scenario,
 )
 from .liouville import (
-    InteractionSpec,
+    BurstSpec,
+    ContinuousSpec,
     Trajectory,
     WeakMoments,
     burst_interaction,

@@ -92,13 +92,11 @@ def _sampled_indices(n_grid_steps: int, samples: int) -> list:
     return [round(j * n_grid_steps / (samples - 1)) for j in range(samples)]
 
 
-def _rows_from_trajectory(traj: lv.Trajectory, samples: int, with_purity=False) -> list:
-    idx = _sampled_indices(len(traj.times) - 1, samples)
+def _rows_from_trajectory(traj: lv.Trajectory, samples: int) -> list:
     rows = []
-    for i in idx:
-        st = traj.states[i]
-        pur = float(traj.purity[i]) if with_purity else None
-        rows.append(_row(traj.times[i], st.mat, pur, _score([st])))
+    for i in _sampled_indices(len(traj.times) - 1, samples):
+        st = traj.state(i)
+        rows.append(_row(traj.times[i], st.mat, None, _score([st])))
     return rows
 
 

@@ -14,14 +14,12 @@ from typing import Optional
 import numpy as np
 
 from .qcore import SIGMA_Z
-from .spinbath import SpinBathParams
+from .spinbath import NORM_TOL, SpinBathParams
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config"]
 
 SCENARIOS = ("spinbath_exact", "spinbath_env_post", "perturbative_spin", "burst", "verify")
 VERIFY_SCENARIOS = ("spinbath_exact", "probability", "parsel", "perturbative", "all")
-
-NORM_TOL = 1e-12
 
 
 class ConfigError(Exception):

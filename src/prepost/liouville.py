@@ -33,28 +33,32 @@ oracle for the product route. They are integrated as written but have no
 independent oracle for the dynamics here and should be treated as
 unverified.
 
-The burst weak moments, the product kets and the particle operators' action
-are computed in real arithmetic of fixed order (:mod:`prepost.detmath`), so
-they are the same bits on every machine. Each burst window's constants are
-computed once per window, by the one kernel behind :func:`burst_rhs` and
-:func:`integrate`.
+:class:`ContinuousSpec` (one window [0, T]) and :class:`BurstSpec` (one
+window per particle) each own their weak moments, their weak-coupling
+parameter and a per-window right-hand side with its constants bound once;
+:func:`integrate` runs one RK4 loop over the windows of either. The burst
+weak moments, the product kets and the particle operators' action are
+computed in real arithmetic of fixed order (:mod:`prepost.detmath`), so
+they are the same bits on every machine.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .detmath import cabs, cdiv, join, split_vdots
-from .qcore import SIGMA_Z, Ket, Operator, ProductKet
-from .twostate import FormalismError, TwoState, from_conditions, purity, schmidt_spectrum
+from .qcore import SIGMA_Z, HilbertSpace, Ket, Operator, ProductKet
+from .twostate import FormalismError, TwoState, from_conditions, purity
 
 __all__ = [
-    "InteractionSpec",
+    "ContinuousSpec",
+    "BurstSpec",
     "WeakMoments",
     "Trajectory",
     "continuous_interaction",
@@ -69,40 +73,6 @@ __all__ = [
 
 COMMUTATION_TOL = 1e-10
 
-# weak-coupling validity flags: lam*T for continuous, lam*tau for burst
-CONTINUOUS_VALIDITY = 1.0
-BURST_VALIDITY = 0.1
-
-
-@dataclass(eq=False)
-class InteractionSpec:
-    """One interaction channel set, continuous or burst.
-
-    Built through :func:`continuous_interaction` or :func:`burst_interaction`;
-    the constructor itself performs no validation.
-    """
-
-    kind: str
-    lam: float
-    t_final: float
-    # continuous
-    q_ops: Optional[list] = None
-    l_ops: Optional[list] = None
-    env_rho0: Optional[TwoState] = None
-    # burst
-    tau: Optional[float] = None
-    n_bursts: Optional[int] = None
-    sys_op: Optional[np.ndarray] = None
-    particle_ops: Optional[list] = None
-    env_in: Optional[Ket] = None
-    env_out: Optional[Ket] = None
-
-    @property
-    def weak_coupling_ok(self) -> bool:
-        if self.kind == "continuous":
-            return self.lam * self.t_final < CONTINUOUS_VALIDITY
-        return self.lam * self.tau < BURST_VALIDITY
-
 
 @dataclass(eq=False)
 class WeakMoments:
@@ -112,15 +82,197 @@ class WeakMoments:
     delta: np.ndarray
 
 
+def _with_delta(l_w: np.ndarray, second: np.ndarray) -> WeakMoments:
+    """Moments with Delta = second - l_w l_w^T, the outer product in real parts."""
+    lr, li = l_w.real, l_w.imag
+    delta = join(
+        second.real - (np.multiply.outer(lr, lr) - np.multiply.outer(li, li)),
+        second.imag - (np.multiply.outer(lr, li) + np.multiply.outer(li, lr)),
+    )
+    return WeakMoments(l_w=l_w, delta=delta)
+
+
+@dataclass(eq=False)
+class ContinuousSpec:
+    """Continuous coupling lam * sum_i Q_i (x) L_i over the single window [0, T].
+
+    Built and validated by :func:`continuous_interaction`; ``env_rho0`` is the
+    free environment two-state at t = 0.
+    """
+
+    lam: float
+    t_final: float
+    q_ops: list
+    l_ops: list
+    env_rho0: TwoState
+
+    def validity(self) -> tuple:
+        """Weak-coupling parameter: its name, its value, the limit it must stay below."""
+        return "lam*T", self.lam * self.t_final, 1.0
+
+    def moments(self) -> WeakMoments:
+        mat = self.env_rho0.mat
+        tr0 = complex(np.trace(mat))
+        if abs(tr0) <= 1e-12:
+            raise FormalismError("orthogonal environment conditions: weak moments undefined")
+        ops = [l.entries for l in self.l_ops]
+        l_w = np.array([np.trace(o @ mat) / tr0 for o in ops])
+        second = np.array([[np.trace(oi @ oj @ mat) / tr0 for oj in ops] for oi in ops])
+        return _with_delta(l_w, second)
+
+    def window_rhs(self, moments: WeakMoments):
+        """d rho / dt on [0, T] as a function of (t, rho).
+
+        The weights -i lam (L_i)_w and lam^2 Delta_ij are bound once here,
+        not at every evaluation.
+        """
+        lam = self.lam
+        big_t = self.t_final
+        qs = [q.entries for q in self.q_ops]
+        first = [-1j * lam * moments.l_w[i] for i in range(len(qs))]
+        second = [[lam**2 * moments.delta[i, j] for j in range(len(qs))] for i in range(len(qs))]
+
+        def rhs(t: float, rs_mat: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(rs_mat)
+            for f, q in zip(first, qs):
+                out += f * (q @ rs_mat - rs_mat @ q)
+            for j, qj in enumerate(qs):
+                x_j = t * (qj @ rs_mat) + (big_t - t) * (rs_mat @ qj)
+                for i, qi in enumerate(qs):
+                    out -= second[i][j] * (qi @ x_j - x_j @ qi)
+            return out
+
+        return rhs
+
+    def windows(self, moments: WeakMoments, steps: int) -> list:
+        """(t0, h, steps, rhs) of each smooth stretch of [0, T]: here one."""
+        return [(0.0, self.t_final / steps, steps, self.window_rhs(moments))]
+
+
+@dataclass(eq=False)
+class BurstSpec:
+    """Sequential coupling: the system meets particle n during [n tau, (n+1) tau).
+
+    Built and validated by :func:`burst_interaction`. ``particle_ops[n]``
+    acts on factor n of the environment kets ``env_in``/``env_out``, and
+    ``sys_op`` on the system in every window.
+    """
+
+    lam: float
+    tau: float
+    sys_op: np.ndarray
+    particle_ops: list
+    env_in: Ket
+    env_out: Ket
+
+    @property
+    def t_final(self) -> float:
+        return len(self.particle_ops) * self.tau
+
+    def validity(self) -> tuple:
+        """Weak-coupling parameter: its name, its value, the limit it must stay below."""
+        return "lam*tau", self.lam * self.tau, 0.1
+
+    def moments(self) -> WeakMoments:
+        ops = self.particle_ops
+        n = len(ops)
+        if isinstance(self.env_in, ProductKet) and isinstance(self.env_out, ProductKet):
+            l_w = np.empty(n, dtype=complex)
+            delta = np.zeros((n, n), dtype=complex)
+            pairs = zip(self.env_in.factors, self.env_out.factors)
+            for k, (op, (a, b)) in enumerate(zip(ops, pairs)):
+                l_w[k], delta[k, k] = _particle_moments(k, op, a, b)
+            return WeakMoments(l_w=l_w, delta=delta)
+        e1 = self.env_in.amps
+        e2 = self.env_out.amps
+        dims = self.env_in.space.factor_dims
+        (den,) = split_vdots(e2, [e1])
+        if cabs(den) <= 1e-12:
+            raise FormalismError("orthogonal environment conditions: weak moments undefined")
+        applied = [_apply_particle(ops[k], k, dims, e1) for k in range(n)]
+        l_w = np.array([cdiv(x, den) for x in split_vdots(e2, applied)])
+        second = np.empty((n, n), dtype=complex)
+        for i in range(n):
+            back = _apply_particle(ops[i].conj().T, i, dims, e2)
+            second[i] = [cdiv(x, den) for x in split_vdots(back, applied)]
+        return _with_delta(l_w, second)
+
+    def window_rhs(self, moments: WeakMoments, window: int):
+        """d rho / dt within one burst window, as a function of (t, rho).
+
+        The window's constants (its first moment, its diagonal weak
+        uncertainty and the cross-correlation sums over past and future
+        partners) are computed once here, not at every evaluation.
+        """
+        tau = self.tau
+        lam = self.lam
+        sig = self.sys_op
+        first = -1j * lam * moments.l_w[window]
+        diag = lam**2 * moments.delta[window, window]
+        mid = (2 * window + 1) * tau
+        # the cross-correlation terms are exactly zero for product conditions,
+        # and for the first (no past) and last (no future) windows
+        past = lam**2 * complex(np.sum(moments.delta[window, :window])) * (window * tau)
+        future = lam**2 * complex(np.sum(moments.delta[window, window + 1 :])) * (
+            (len(self.particle_ops) - window - 1) * tau
+        )
+
+        def rhs(t: float, rs_mat: np.ndarray) -> np.ndarray:
+            sm = sig @ rs_mat
+            ms = rs_mat @ sig
+            out = first * (sm - ms)
+            out = out - diag * (2.0 * t - mid) * (rs_mat - sig @ ms)
+            if past:
+                out = out - past * (sig @ sm - sm @ sig)
+            if future:
+                out = out - future * (sig @ ms - ms @ sig)
+            return out
+
+        return rhs
+
+    def windows(self, moments: WeakMoments, steps: int) -> list:
+        """(t0, h, steps, rhs) of each window, with about steps/n steps each."""
+        n_bursts = len(self.particle_ops)
+        per_window = max(1, round(steps / n_bursts))
+        h = self.tau / per_window
+        return [(n * self.tau, h, per_window, self.window_rhs(moments, n)) for n in range(n_bursts)]
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """Time grid, two-states, and per-time diagnostics of one integration."""
+    """Two-state matrices ``mats[i]`` at ``times[i]`` of one integration.
+
+    ``coherence`` (|rho_01| for a qubit, else the largest off-diagonal
+    magnitude) covers every step; :class:`TwoState` objects (:meth:`state`,
+    ``states``) and the purity of rho rho† are built only on request.
+    """
 
     times: np.ndarray
-    states: list
-    coherence: np.ndarray
-    schmidt: np.ndarray
-    purity: np.ndarray
+    mats: np.ndarray
+    space: HilbertSpace
+    t_final: float
+    boundary_overlap: Optional[complex]
+    coherence: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        d = self.space.total_dim
+        off = self.mats[:, 0, 1:] if d == 2 else self.mats[:, ~np.eye(d, dtype=bool)]
+        self.coherence = np.abs(off).max(axis=1)
+
+    def state(self, i: int) -> TwoState:
+        """The two-state at step i."""
+        return TwoState(
+            self.space, self.mats[i], 0.0, self.t_final, float(self.times[i]),
+            boundary_overlap=self.boundary_overlap,
+        )
+
+    @cached_property
+    def states(self) -> list:
+        return [self.state(i) for i in range(len(self.times))]
+
+    @cached_property
+    def purity(self) -> np.ndarray:
+        return np.array([purity(m @ m.conj().T) for m in self.mats])
 
 
 def continuous_interaction(
@@ -131,7 +283,7 @@ def continuous_interaction(
     e2: Ket,
     h_e: Optional[Operator] = None,
     t_final: float = 1.0,
-) -> InteractionSpec:
+) -> ContinuousSpec:
     """Continuous coupling lam * sum_i Q_i (x) L_i with free env conditions.
 
     The free environment Hamiltonian must commute with every L_i (the
@@ -156,13 +308,8 @@ def continuous_interaction(
                 f"free environment Hamiltonian does not commute with coupling operator {i}"
             )
     env_rho0 = from_conditions(e1, e2, h_e, 0.0, float(t_final), 0.0)
-    return InteractionSpec(
-        kind="continuous",
-        lam=float(lam),
-        t_final=float(t_final),
-        q_ops=list(q_ops),
-        l_ops=list(l_ops),
-        env_rho0=env_rho0,
+    return ContinuousSpec(
+        lam=float(lam), t_final=float(t_final), q_ops=list(q_ops), l_ops=list(l_ops), env_rho0=env_rho0
     )
 
 
@@ -183,7 +330,7 @@ def burst_interaction(
     e1: Ket,
     e2: Ket,
     sys_op: Optional[np.ndarray] = None,
-) -> InteractionSpec:
+) -> BurstSpec:
     """Sequential coupling: the system meets particle n during [n tau, (n+1) tau).
 
     ``particle_ops[n]`` acts on the n-th environment factor; the system side
@@ -209,16 +356,8 @@ def burst_interaction(
         raise ValueError("burst system operator must be 2x2")
     if float(np.max(np.abs(sys_arr - sys_arr.conj().T))) > COMMUTATION_TOL:
         raise ValueError("burst system operator must be Hermitian")
-    return InteractionSpec(
-        kind="burst",
-        lam=float(lam),
-        t_final=float(n * tau),
-        tau=float(tau),
-        n_bursts=n,
-        sys_op=sys_arr,
-        particle_ops=ops,
-        env_in=e1,
-        env_out=e2,
+    return BurstSpec(
+        lam=float(lam), tau=float(tau), sys_op=sys_arr, particle_ops=ops, env_in=e1, env_out=e2
     )
 
 
@@ -272,9 +411,10 @@ def _particle_moments(k: int, op: np.ndarray, a: np.ndarray, b: np.ndarray) -> t
     return lw, dd
 
 
-def weak_moments(spec: InteractionSpec) -> WeakMoments:
+def weak_moments(spec: ContinuousSpec | BurstSpec) -> WeakMoments:
     """(L_i)_w and Delta_ij with respect to the free environment two-state.
 
+    Continuous specs take traces against the free environment two-state.
     Burst specs take one of two routes, picked by the type of the boundary
     kets:
 
@@ -292,210 +432,87 @@ def weak_moments(spec: InteractionSpec) -> WeakMoments:
     Both are real arithmetic of fixed order, the same bits on every machine.
     The arrays have shapes (n,) and (n, n) either way.
     """
-    if spec.kind == "continuous":
-        mat = spec.env_rho0.mat
-        tr0 = complex(np.trace(mat))
-        if abs(tr0) <= 1e-12:
-            raise FormalismError("orthogonal environment conditions: weak moments undefined")
-        ops = [l.entries for l in spec.l_ops]
-        n = len(ops)
-        l_w = np.array([np.trace(o @ mat) / tr0 for o in ops])
-        second = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                second[i, j] = np.trace(ops[i] @ ops[j] @ mat) / tr0
-    elif isinstance(spec.env_in, ProductKet) and isinstance(spec.env_out, ProductKet):
-        n = spec.n_bursts
-        l_w = np.empty(n, dtype=complex)
-        delta = np.zeros((n, n), dtype=complex)
-        pairs = zip(spec.env_in.factors, spec.env_out.factors)
-        for k, (op, (a, b)) in enumerate(zip(spec.particle_ops, pairs)):
-            l_w[k], delta[k, k] = _particle_moments(k, op, a, b)
-        return WeakMoments(l_w=l_w, delta=delta)
-    else:
-        e1 = spec.env_in.amps
-        e2 = spec.env_out.amps
-        dims = spec.env_in.space.factor_dims
-        (den,) = split_vdots(e2, [e1])
-        if cabs(den) <= 1e-12:
-            raise FormalismError("orthogonal environment conditions: weak moments undefined")
-        n = spec.n_bursts
-        ops = spec.particle_ops
-        applied = [_apply_particle(ops[k], k, dims, e1) for k in range(n)]
-        l_w = np.array([cdiv(x, den) for x in split_vdots(e2, applied)])
-        second = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            back = _apply_particle(ops[i].conj().T, i, dims, e2)
-            second[i] = [cdiv(x, den) for x in split_vdots(back, applied)]
-    # Delta = second - l_w l_w^T, the outer product in real parts
-    lr, li = l_w.real, l_w.imag
-    delta = join(
-        second.real - (np.multiply.outer(lr, lr) - np.multiply.outer(li, li)),
-        second.imag - (np.multiply.outer(lr, li) + np.multiply.outer(li, lr)),
-    )
-    return WeakMoments(l_w=l_w, delta=delta)
+    return spec.moments()
 
 
 def modified_liouville_rhs(
     t: float,
     rs_mat: np.ndarray,
-    spec: InteractionSpec,
+    spec: ContinuousSpec,
     moments: WeakMoments,
 ) -> np.ndarray:
     """Right-hand side of the second-order modified Liouville equation."""
-    if spec.kind != "continuous":
+    if not isinstance(spec, ContinuousSpec):
         raise ValueError("modified_liouville_rhs needs a continuous interaction spec")
-    lam = spec.lam
-    big_t = spec.t_final
-    qs = [q.entries for q in spec.q_ops]
-    out = np.zeros_like(rs_mat)
-    for i, q in enumerate(qs):
-        out += -1j * lam * moments.l_w[i] * (q @ rs_mat - rs_mat @ q)
-    for j, qj in enumerate(qs):
-        x_j = t * (qj @ rs_mat) + (big_t - t) * (rs_mat @ qj)
-        for i, qi in enumerate(qs):
-            out -= lam**2 * moments.delta[i, j] * (qi @ x_j - x_j @ qi)
-    return out
-
-
-def _burst_window_rhs(spec: InteractionSpec, moments: WeakMoments, window: int):
-    """d rho / dt within one burst window, as a function of (t, rho).
-
-    The window's constants (its first moment, its diagonal weak uncertainty
-    and the cross-correlation sums over past and future partners) are
-    computed once here, not at every evaluation.
-    """
-    n_total = spec.n_bursts
-    tau = spec.tau
-    lam = spec.lam
-    sig = spec.sys_op
-    first = -1j * lam * moments.l_w[window]
-    diag = lam**2 * moments.delta[window, window]
-    mid = (2 * window + 1) * tau
-    # the cross-correlation terms are exactly zero for product conditions,
-    # and for the first (no past) and last (no future) windows
-    past = lam**2 * complex(np.sum(moments.delta[window, :window])) * (window * tau)
-    future = lam**2 * complex(np.sum(moments.delta[window, window + 1 :])) * (
-        (n_total - window - 1) * tau
-    )
-
-    def rhs(t: float, rs_mat: np.ndarray) -> np.ndarray:
-        sm = sig @ rs_mat
-        ms = rs_mat @ sig
-        out = first * (sm - ms)
-        out = out - diag * (2.0 * t - mid) * (rs_mat - sig @ ms)
-        if past:
-            out = out - past * (sig @ sm - sm @ sig)
-        if future:
-            out = out - future * (sig @ ms - ms @ sig)
-        return out
-
-    return rhs
+    return spec.window_rhs(moments)(t, rs_mat)
 
 
 def burst_rhs(
     t: float,
     rs_mat: np.ndarray,
-    spec: InteractionSpec,
+    spec: BurstSpec,
     moments: WeakMoments,
-    window: Optional[int] = None,
 ) -> np.ndarray:
-    """Right-hand side of the burst schedule equation.
+    """Right-hand side of the burst schedule equation, in the window holding t.
 
     Within window n: the gated first-order term, a diagonal second-order
     term with time weight 2t - (2n+1) tau (zero at the window midpoint,
     integrating to zero over the window), and the two cross-correlation
     terms weighted by Delta_nm over past (n tau) and future ((N-n-1) tau)
-    partners. ``window`` pins the active window for integrators stepping up
-    to a shared boundary; otherwise it is derived from t.
+    partners.
     """
-    if spec.kind != "burst":
+    if not isinstance(spec, BurstSpec):
         raise ValueError("burst_rhs needs a burst interaction spec")
-    n_total = spec.n_bursts
-    tau = spec.tau
     big_t = spec.t_final
     tol = 1e-9 * max(1.0, big_t)
     if t < -tol or t > big_t + tol:
         raise ValueError(f"time {t} outside the burst schedule [0, {big_t}]")
-    if window is None:
-        window = min(max(int(np.floor(t / tau + 1e-12)), 0), n_total - 1)
-    return _burst_window_rhs(spec, moments, window)(t, rs_mat)
+    window = min(max(int(np.floor(t / spec.tau + 1e-12)), 0), len(spec.particle_ops) - 1)
+    return spec.window_rhs(moments, window)(t, rs_mat)
 
 
-def _rk4_step(rhs, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(t, y)
-    k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
-    k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
-    k4 = rhs(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def integrate(rs0: TwoState, spec: ContinuousSpec | BurstSpec, steps: int = 2000) -> Trajectory:
+    """Fixed-step 4th-order Runge-Kutta integration of a spec over [0, T].
 
-
-def integrate(rs0: TwoState, spec: InteractionSpec, steps: int = 2000) -> Trajectory:
-    """Fixed-step 4th-order Runge-Kutta integration over [0, T].
-
-    Burst schedules snap the grid to window boundaries (an integer number of
-    steps per window) so no step straddles a gating discontinuity, and the
-    right-hand side is evaluated with the window pinned. Integrating outside
-    the weak-coupling validity regime warns but proceeds.
+    The spec splits [0, T] into windows on which its right-hand side is
+    smooth, each with a whole number of steps: one window for a continuous
+    coupling, one per particle for a burst schedule, so that no step
+    straddles a gating discontinuity. Integrating outside the weak-coupling
+    validity regime warns but proceeds.
     """
     steps = int(steps)
     if steps < 10:
         raise ValueError("need at least 10 integration steps")
     if abs(rs0.t - rs0.t1) > 1e-9 * max(1.0, rs0.duration):
         raise ValueError("initial two-state must be given at its own t1")
-    if not spec.weak_coupling_ok:
-        if spec.kind == "continuous":
-            warnings.warn(
-                f"lam*T = {spec.lam * spec.t_final:.3g} >= {CONTINUOUS_VALIDITY}: "
-                "outside the weak-coupling validity regime",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            warnings.warn(
-                f"lam*tau = {spec.lam * spec.tau:.3g} >= {BURST_VALIDITY}: "
-                "outside the weak-coupling validity regime",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    name, value, limit = spec.validity()
+    if not value < limit:
+        warnings.warn(
+            f"{name} = {value:.3g} >= {limit}: "
+            "outside the weak-coupling validity regime",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
-    moments = weak_moments(spec)
-    big_t = spec.t_final
-    y = np.array(rs0.mat, dtype=complex)
-    times = [0.0]
-    mats = [y]
-
-    if spec.kind == "continuous":
-        rhs = lambda t, m: modified_liouville_rhs(t, m, spec, moments)
-        h = big_t / steps
-        for k in range(steps):
-            y = _rk4_step(rhs, k * h, y, h)
-            times.append((k + 1) * h)
-            mats.append(y)
-    else:
-        per_window = max(1, round(steps / spec.n_bursts))
-        h = spec.tau / per_window
-        for n in range(spec.n_bursts):
-            rhs = _burst_window_rhs(spec, moments, n)
-            for k in range(per_window):
-                t_here = n * spec.tau + k * h
-                y = _rk4_step(rhs, t_here, y, h)
-                times.append(t_here + h)
-                mats.append(y)
-
-    times_arr = np.array(times)
-    states = [
-        TwoState(rs0.space, m, 0.0, big_t, float(t), boundary_overlap=rs0.boundary_overlap)
-        for t, m in zip(times_arr, mats)
-    ]
-    d = rs0.space.total_dim
-    if d == 2:
-        coherence = np.array([abs(m[0, 1]) for m in mats])
-    else:
-        coherence = np.array([np.max(np.abs(m - np.diag(np.diagonal(m)))) for m in mats])
-    schmidt = np.array([schmidt_spectrum(s) for s in states])
-    pur = np.array([purity(m @ m.conj().T) for m in mats])
-    return Trajectory(times=times_arr, states=states, coherence=coherence, schmidt=schmidt, purity=pur)
+    windows = spec.windows(weak_moments(spec), steps)
+    total = sum(n for _, _, n, _ in windows)
+    times = np.empty(total + 1)
+    mats = np.empty((total + 1,) + rs0.mat.shape, dtype=complex)
+    times[0] = 0.0
+    y = mats[0] = rs0.mat
+    i = 0
+    for t0, h, n, rhs in windows:
+        for k in range(n):
+            t = t0 + k * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + h / 2.0, y + h / 2.0 * k1)
+            k3 = rhs(t + h / 2.0, y + h / 2.0 * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            i += 1
+            times[i] = t0 + (k + 1) * h
+            mats[i] = y
+    return Trajectory(times, mats, rs0.space, spec.t_final, rs0.boundary_overlap)
 
 
 def closed_form_spin(

@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from .detmath import join
 
@@ -35,6 +34,7 @@ __all__ = [
     "tensor",
     "partial_trace",
     "two_state_inner",
+    "propagate",
     "evolve",
     "random_ket",
     "random_hermitian",
@@ -238,20 +238,22 @@ def two_state_inner(r1: Operator, r2: Operator) -> complex:
     return complex(np.vdot(r1.entries.ravel(), r2.entries.ravel()))
 
 
-def _u_repr(entries: np.ndarray, t: float):
-    """exp(-i*entries*t), as ("diag", phases) for numerically diagonal generators,
-    else ("dense", U) via scaling-and-squaring."""
+def propagate(h: Operator, t: float, vecs: np.ndarray) -> np.ndarray:
+    """exp(-i h t) applied to a vector, or to each column of a matrix.
+
+    ``h`` must already be known to be Hermitian; it is not checked here, so
+    a caller scans it once however many propagations it needs. A numerically
+    diagonal generator acts by phases, without building U; any other is
+    exponentiated as V exp(-i w t) V† from its eigendecomposition.
+    """
+    entries = h.entries
     diag = np.diagonal(entries)
     off = entries - np.diag(diag)
     if entries.shape[0] == 1 or float(np.max(np.abs(off))) < _DIAGONAL_TOL:
-        return "diag", np.exp(-1j * diag.real * t)
-    return "dense", expm(-1j * t * entries)
-
-
-def _propagate(h_entries: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:
-    """exp(-i*h*t) @ vec without materializing U for diagonal generators."""
-    kind, u = _u_repr(h_entries, t)
-    return u * vec if kind == "diag" else u @ vec
+        phases = np.exp(-1j * diag.real * t)
+        return phases[:, None] * vecs if vecs.ndim == 2 else phases * vecs
+    w, v = np.linalg.eigh(entries)
+    return (v * np.exp(-1j * w * t)) @ (v.conj().T @ vecs)
 
 
 def evolve(h: Operator, t: float, target: Union[Ket, Operator], side: str = "left"):
@@ -264,22 +266,21 @@ def evolve(h: Operator, t: float, target: Union[Ket, Operator], side: str = "lef
     if not h.is_hermitian():
         raise ValueError("evolution generator must be Hermitian within 1e-10")
     t = float(t)
-    kind, u = _u_repr(h.entries, t)
 
     if isinstance(target, Ket):
         if target.space != h.space:
             raise ValueError("ket and generator live on different spaces")
-        amps = u * target.amps if kind == "diag" else u @ target.amps
-        return Ket(target.space, amps)
+        return Ket(target.space, propagate(h, t, target.amps))
 
     if isinstance(target, Operator):
         if target.space != h.space:
             raise ValueError("operator and generator live on different spaces")
         m = target.entries
         if side == "left":
-            out = u[:, None] * m if kind == "diag" else u @ m
+            out = propagate(h, t, m)
         elif side == "right":
-            out = m * np.conj(u)[None, :] if kind == "diag" else m @ u.conj().T
+            # M U† = (U M†)†
+            out = propagate(h, t, m.conj().T).conj().T
         else:
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         return Operator(target.space, out)

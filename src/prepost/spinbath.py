@@ -50,6 +50,7 @@ __all__ = [
     "env_kets",
     "system_kets",
     "weak_evolution_closed_form",
+    "env_energies",
 ]
 
 NORM_TOL = 1e-12
@@ -216,11 +217,11 @@ def _env_product_kets(p: SpinBathParams) -> tuple[np.ndarray, np.ndarray]:
     return e1, e2
 
 
-def _env_energies(p: SpinBathParams) -> np.ndarray:
+def env_energies(g: np.ndarray) -> np.ndarray:
     """eps[m] = sum_k g_k z_k(m) over bath basis states, z = +/-1."""
     z = np.array([1.0, -1.0])
     eps = np.zeros(1)
-    for gk in p.g:
+    for gk in g:
         eps = np.add.outer(eps, gk * z).reshape(-1)
     return eps
 
@@ -239,7 +240,7 @@ def brute_force_reduced(p: SpinBathParams, t: float) -> TwoState:
     _check_time(p, t)
     big_t = p.t_final
     e1, e2 = _env_product_kets(p)
-    eps = _env_energies(p)
+    eps = env_energies(p.g)
     s1 = (p.a, p.b)
     s2 = (p.a_post, p.b_post)
     de = e1.size
@@ -385,7 +386,7 @@ def joint_hamiltonian(p: SpinBathParams) -> Operator:
     the oracle path never needs it.
     """
     z = np.array([1.0, -1.0])
-    diag = np.kron(z, _env_energies(p))
+    diag = np.kron(z, env_energies(p.g))
     return Operator(qubits(p.n + 1), np.diag(diag).astype(complex))
 
 

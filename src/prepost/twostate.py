@@ -33,15 +33,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .detmath import cmul, hypot
-from .qcore import (
-    HilbertSpace,
-    Ket,
-    Operator,
-    evolve,
-    partial_trace,
-    _propagate,
-    _u_repr,
-)
+from .qcore import HilbertSpace, Ket, Operator, evolve, partial_trace, propagate
 
 __all__ = [
     "FormalismError",
@@ -208,10 +200,10 @@ def from_conditions(
         raise ValueError("boundary kets and Hamiltonian must share one space")
     if not h.is_hermitian():
         raise ValueError("Hamiltonian must be Hermitian within 1e-10")
-    left = evolve(h, t - t1, psi_in)
-    right = evolve(h, t - t2, psi_out)
-    overlap = complex(np.vdot(psi_out.amps, evolve(h, t2 - t1, psi_in).amps))
-    mat = np.outer(left.amps, np.conj(right.amps))
+    left = propagate(h, t - t1, psi_in.amps)
+    right = propagate(h, t - t2, psi_out.amps)
+    overlap = complex(np.vdot(psi_out.amps, propagate(h, t2 - t1, psi_in.amps)))
+    mat = np.outer(left, np.conj(right))
     return TwoState(psi_in.space, mat, float(t1), float(t2), float(t), boundary_overlap=overlap)
 
 
@@ -410,18 +402,13 @@ def weak_evolution_operator(
 
     if not h_e.is_hermitian() or not h_tot.is_hermitian():
         raise ValueError("Hamiltonians must be Hermitian within 1e-10")
-    den = complex(np.vdot(e2.amps, _propagate(h_e.entries, big_t, e1.amps)))
+    den = complex(np.vdot(e2.amps, propagate(h_e, big_t, e1.amps)))
     if abs(den) <= ENV_OVERLAP_TOL:
         raise FormalismError("orthogonal free environment conditions")
 
-    kind, u = _u_repr(h_tot.entries, big_t)
-    if kind == "diag":
-        phases = u.reshape(ds, de)
-        diag = np.einsum("am,m,m->a", phases, np.conj(e2.amps), e1.amps)
-        num = np.diag(diag)
-    else:
-        u4 = u.reshape(ds, de, ds, de)
-        num = np.einsum("m,ambn,n->ab", np.conj(e2.amps), u4, e1.amps)
+    # column b is U(T) (|b> (x) |e1>); W_ab contracts its environment part with <e2|
+    cols = propagate(h_tot, big_t, np.kron(np.eye(ds), e1.amps[:, None]))
+    num = np.einsum("m,amb->ab", np.conj(e2.amps), cols.reshape(ds, de, ds))
 
     sys_space = HilbertSpace(tuple(h_tot.space.factor_dims[i] for i in keep))
     return Operator(sys_space, num / den)
@@ -546,13 +533,11 @@ def prob_env_post_only(
         raise ValueError("joint Hamiltonian must be Hermitian within 1e-10")
 
     # the reduction normalization is common to every s2 and cancels in the ratio
-    u_left = _propagate(h_tot.entries, t - t1, psi_in.amps).reshape(ds, de)
-    kind, u = _u_repr(h_tot.entries, t - t2)
+    u_left = propagate(h_tot, t - t1, psi_in.amps).reshape(ds, de)
+    outs = propagate(h_tot, t - t2, np.column_stack([np.kron(s2.amps, e2.amps) for s2 in s2_basis]))
     weights = {lab: 0.0 for lab in ps.labels}
-    for s2 in s2_basis:
-        out_ket = np.kron(s2.amps, e2.amps)
-        v = (u * out_ket if kind == "diag" else u @ out_ket).reshape(ds, de)
-        reduced = u_left @ v.conj().T
+    for v in outs.T:
+        reduced = u_left @ v.reshape(ds, de).conj().T
         for lab, p in zip(ps.labels, ps.projectors):
             amp = complex(np.vdot(p.entries.ravel(), reduced.ravel()))
             weights[lab] += abs(amp) ** 2
@@ -568,8 +553,7 @@ def purity(rho) -> float:
 
     tr(rho^2) = sum_ij rho_ij rho_ji is summed from real products, so the
     value is the same bits on every machine; 2x2 matrices take the expanded
-    sum in plain floats, which is several times faster on the integrator's
-    per-step diagnostics.
+    sum in plain floats.
     """
     m = rho.entries if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
     if m.shape == (2, 2):

@@ -260,7 +260,7 @@ def verify_perturbative(seed: int, trials: int) -> VerifyReport:
             e2 = lv.product_env_ket(
                 [np.array([p.alpha_post[k], p.beta_post[k]]) for k in range(n)]
             )
-            l_env = _sum_sigma_z(n, gamma)
+            l_env = Operator(qubits(n), np.diag(sb.env_energies(gamma)).astype(complex))
             spec = lv.continuous_interaction(
                 lam_val, [Operator(_QUBIT, SIGMA_Z)], [l_env], e1, e2, t_final=1.0
             )
@@ -283,14 +283,6 @@ def verify_perturbative(seed: int, trials: int) -> VerifyReport:
     report.checks.append(CheckResult("order-ratio-min", float(ratio_min), low, np.inf))
     report.checks.append(CheckResult("order-ratio-max", float(ratio_max), -np.inf, high))
     return report
-
-
-def _sum_sigma_z(n: int, gamma: np.ndarray) -> Operator:
-    z = np.array([1.0, -1.0])
-    diag = np.zeros(1)
-    for gk in gamma:
-        diag = np.add.outer(diag, gk * z).reshape(-1)
-    return Operator(qubits(n), np.diag(diag).astype(complex))
 
 
 _RUNNERS = {

@@ -12,6 +12,7 @@ import pytest
 from prepost import verify as verify_mod
 from prepost.cli import CSV_COLUMNS, main
 from prepost.config import ConfigError, load_config, parse_config
+from prepost.twostate import TwoState
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -230,6 +231,20 @@ def test_goldens_independent_of_blas_simd_and_libm(tmp_path):
         assert got == (GOLDENS / f"{name}.csv").read_bytes(), f"{name}: platform drift"
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; the runtime needs numpy alone
+    code = "import sys, prepost.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    assert out.strip() == "[]"
+
+
 def test_spinbath_exact_recoherence_signature(tmp_path):
     out = tmp_path / "t.csv"
     main(["run", "--config", str(CONFIGS / "spinbath_exact.json"), "--out", str(out)])
@@ -238,6 +253,20 @@ def test_spinbath_exact_recoherence_signature(tmp_path):
     ratios = [float(r[i2]) / float(r[i1]) for r in rows]
     assert ratios[0] < 1e-9 and ratios[-1] < 1e-9
     assert max(ratios[1:-1]) > 1e-3
+
+
+def test_burst_run_builds_two_states_only_for_sampled_rows(tmp_path, monkeypatch):
+    # the initial two-state plus one per CSV row, not one per integration step
+    built = []
+    post_init = TwoState.__post_init__
+
+    def counting(self):
+        built.append(self.t)
+        post_init(self)
+
+    monkeypatch.setattr(TwoState, "__post_init__", counting)
+    assert main(["run", "--config", str(CONFIGS / "burst.json"), "--out", str(tmp_path / "b.csv")]) == 0
+    assert 0 < len(built) <= _load("burst")["time"]["samples"] + 1
 
 
 def test_burst_boundary_coherence_from_csv(tmp_path):

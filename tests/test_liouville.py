@@ -205,6 +205,46 @@ def test_rhs_single_channel_reduces_to_spin_form():
         np.testing.assert_allclose(rhs, spin_form, atol=1e-13)
 
 
+def test_rhs_two_noncommuting_channels_match_written_equation():
+    # Q = (sigma_z, sigma_x) coupled to L = (sigma_z, sigma_x): the weak value
+    # of [L_1, L_2] = 2i sigma_y is nonzero, so Delta is not symmetric and
+    # its index order matters
+    env = qubits(1)
+    e1 = Ket(env, np.array([0.8, 0.6]))
+    e2 = Ket(env, np.array([0.6, 0.8j]))
+    qs = [SIGMA_Z, SIGMA_X]
+    spec = lv.continuous_interaction(
+        0.3,
+        [Operator(QUBIT, q) for q in qs],
+        [Operator(env, SIGMA_Z), Operator(env, SIGMA_X)],
+        e1,
+        e2,
+        t_final=1.3,
+    )
+    m = lv.weak_moments(spec)
+    assert abs(m.delta[0, 1] - m.delta[1, 0]) > 0.1
+    mat = _generic_initial().mat
+    lam, big_t = spec.lam, spec.t_final
+
+    def written(t, delta, cross=True):
+        # -i lam (L_i)_w [Q_i, rho] - lam^2 Delta_ij [Q_i, t Q_j rho + (T - t) rho Q_j]
+        out = np.zeros((2, 2), dtype=complex)
+        for i, qi in enumerate(qs):
+            out += -1j * lam * m.l_w[i] * (qi @ mat - mat @ qi)
+            for j, qj in enumerate(qs):
+                if cross or i == j:
+                    x = t * (qj @ mat) + (big_t - t) * (mat @ qj)
+                    out -= lam**2 * delta[i, j] * (qi @ x - x @ qi)
+        return out
+
+    for t in (0.0, 0.4, 1.3):
+        rhs = lv.modified_liouville_rhs(t, mat, spec, m)
+        np.testing.assert_allclose(rhs, written(t, m.delta), rtol=0, atol=1e-14)
+        # swapped indices and dropped cross terms are far outside that tolerance
+        assert np.max(np.abs(rhs - written(t, m.delta.T))) > 1e-3
+        assert np.max(np.abs(rhs - written(t, m.delta, cross=False))) > 1e-3
+
+
 def test_rhs_kind_mismatch():
     spec = _single_channel_spec()
     m = lv.weak_moments(spec)
@@ -281,6 +321,17 @@ def test_integrate_matches_closed_form_everywhere():
     # diagonals are constants of motion
     assert abs(traj.states[-1].mat[0, 0] - rs0.mat[0, 0]) < 1e-12
     assert abs(traj.states[-1].mat[1, 1] - rs0.mat[1, 1]) < 1e-12
+
+
+def test_trajectory_states_are_the_stored_matrices():
+    spec = _single_channel_spec(lam=0.1)
+    traj = lv.integrate(_generic_initial(), spec, steps=50)
+    assert traj.times.shape == (51,) and traj.mats.shape == (51, 2, 2)
+    assert len(traj.states) == 51
+    for i in (0, 17, 50):
+        np.testing.assert_array_equal(traj.states[i].mat, traj.mats[i])
+        assert traj.states[i].t == traj.times[i]
+    np.testing.assert_array_equal(traj.coherence, np.abs(traj.mats[:, 0, 1]))
 
 
 def test_integrate_step_halving_convergence():

@@ -18,6 +18,7 @@ from prepost.qcore import (
     qubits,
     random_hermitian,
     random_ket,
+    random_unitary,
     tensor,
     two_state_inner,
 )
@@ -194,13 +195,15 @@ def test_evolve_unitarity_and_eig_oracle():
     rng = np.random.default_rng(8)
     space = HilbertSpace((4,))
     h = random_hermitian(space, rng)
-    t = 1.3
-    u = evolve(h, t, identity(space), side="left")
-    assert u.is_unitary(1e-11)
-    # independent route: eigendecomposition
-    vals, vecs = np.linalg.eigh(h.entries)
-    oracle = vecs @ np.diag(np.exp(-1j * vals * t)) @ vecs.conj().T
-    np.testing.assert_allclose(u.entries, oracle, atol=1e-11)
+    v = random_unitary(4, rng)
+    # a doubly degenerate spectrum leaves the eigenvectors free within each pair
+    degenerate = Operator(space, (v * np.array([1.0, 1.0, -0.5, -0.5])) @ v.conj().T)
+    long_t = 1e3 / np.linalg.norm(h.entries, 2)
+    for gen, t in ((h, 1.3), (degenerate, 1.3), (h, long_t)):
+        u = evolve(gen, t, identity(space), side="left")
+        assert u.is_unitary(1e-11)
+        # independent route: scaling-and-squaring, not the program's eigh
+        np.testing.assert_allclose(u.entries, expm(-1j * gen.entries * t), atol=1e-11)
 
 
 def test_evolve_right_action():
