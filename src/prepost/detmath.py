@@ -20,7 +20,20 @@ import math
 
 import numpy as np
 
-__all__ = ["SINCOS_MAX_ARG", "sincos", "hypot", "cabs", "cmul", "cdiv", "join", "split_vdots"]
+__all__ = [
+    "SINCOS_MAX_ARG",
+    "sincos",
+    "hypot",
+    "cabs",
+    "cmul",
+    "cdiv",
+    "join",
+    "split_vdots",
+    "matmul",
+    "cmatmul",
+    "csplit",
+    "split_matvec",
+]
 
 # fdlibm's Cody-Waite split of pi/2 (e_rem_pio2.c): pio2_1 and pio2_2 hold 33
 # bits each, so n * pio2_k is exact for |n| <= 2^20; pio2_2t is the remaining
@@ -153,3 +166,57 @@ def split_vdots(u: np.ndarray, vs) -> list:
         vf = np.ascontiguousarray(v, dtype=complex).view(np.float64)
         out.append(complex(float(np.sum(uf * vf)), float(np.sum(us * vf))))
     return out
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real a @ b over the last two axes, broadcast over the leading ones.
+
+    out[..., i, k] = (a[..., i, 0] b[..., 0, k] + a[..., i, 1] b[..., 1, k]) + ...,
+    one elementwise multiply and add per inner index, in index order, with
+    no BLAS kernel. A factor that is exactly zero or exactly the identity
+    gives an exact product.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
+
+
+def cmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex a @ b from four real :func:`matmul` products."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return join(
+        matmul(a.real, b.real) - matmul(a.imag, b.imag),
+        matmul(a.real, b.imag) + matmul(a.imag, b.real),
+    )
+
+
+def csplit(a: np.ndarray) -> np.ndarray:
+    """The real (2n, 2n) matrix acting on interleaved (re, im) vectors as ``a``.
+
+    Entry a[p, q] becomes the block [[re, -im], [im, re]] at rows 2p, 2p+1
+    and columns 2q, 2q+1, so that csplit(a) applied to
+    ``v.view(np.float64)`` is ``(a @ v).view(np.float64)``.
+    """
+    a = np.asarray(a, dtype=complex)
+    n, m = a.shape
+    out = np.empty((2 * n, 2 * m))
+    out[0::2, 0::2] = a.real
+    out[0::2, 1::2] = -a.imag
+    out[1::2, 0::2] = a.imag
+    out[1::2, 1::2] = a.real
+    return out
+
+
+def split_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real m @ v as one product and one row sum per row of ``m``.
+
+    Each row sum is numpy's pairwise summation over one contiguous float
+    row, whose order depends only on the row length. With ``m`` from
+    :func:`csplit` and ``v`` an interleaved complex vector, this is the
+    complex matrix-vector product in real arithmetic.
+    """
+    return np.add.reduce(m * v, axis=-1)

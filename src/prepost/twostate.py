@@ -32,7 +32,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .detmath import cmul, hypot
+from .detmath import cmul, hypot, join
 from .qcore import HilbertSpace, Ket, Operator, evolve, partial_trace, propagate
 
 __all__ = [
@@ -194,7 +194,10 @@ def from_conditions(
     The left slot is U(t-t1)|psi_in>, the right slot the final condition
     evolved backward, <psi_out|U(t2-t). Orthogonal boundary conditions
     (|<psi_out|U(t2-t1)|psi_in>| < 1e-14) still construct, but the result is
-    flagged and conditioned probability queries on it raise.
+    flagged and conditioned probability queries on it raise. The matrix is
+    the outer product of the slots taken in real parts, with no complex
+    multiply, so only the phases exp(-i h t) of a nonzero ``h`` can change
+    its last bits between machines.
     """
     if psi_in.space != psi_out.space or psi_in.space != h.space:
         raise ValueError("boundary kets and Hamiltonian must share one space")
@@ -203,7 +206,10 @@ def from_conditions(
     left = propagate(h, t - t1, psi_in.amps)
     right = propagate(h, t - t2, psi_out.amps)
     overlap = complex(np.vdot(psi_out.amps, propagate(h, t2 - t1, psi_in.amps)))
-    mat = np.outer(left, np.conj(right))
+    mat = join(
+        np.multiply.outer(left.real, right.real) + np.multiply.outer(left.imag, right.imag),
+        np.multiply.outer(left.imag, right.real) - np.multiply.outer(left.real, right.imag),
+    )
     return TwoState(psi_in.space, mat, float(t1), float(t2), float(t), boundary_overlap=overlap)
 
 

@@ -231,6 +231,58 @@ def test_goldens_independent_of_blas_simd_and_libm(tmp_path):
         assert got == (GOLDENS / f"{name}.csv").read_bytes(), f"{name}: platform drift"
 
 
+def _complex_perturbative_config(tmp_path) -> str:
+    """perturbative_spin with complex e1/e2 and a complex Hermitian 3x3 L, no h_e."""
+    rng = np.random.default_rng(11)
+    e1 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    e2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+    def pair(z):
+        return [float(z.real), float(z.imag)]
+
+    data = _load("perturbative_spin")
+    data["perturbative"]["lambda"] = 0.2
+    data["perturbative"]["env"] = {
+        "l_op": [[pair(z) for z in row] for row in (a + a.conj().T) / 2.0],
+        "e1": [pair(z) for z in e1 / np.linalg.norm(e1)],
+        "e2": [pair(z) for z in e2 / np.linalg.norm(e2)],
+    }
+    return _write(tmp_path, data, "complex.json")
+
+
+@pytest.mark.parametrize(
+    "platform",
+    [
+        {"OPENBLAS_CORETYPE": "Prescott", "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"},
+        {"OPENBLAS_CORETYPE": "Haswell"},
+    ],
+    ids=["prescott-nosimd-nofma", "haswell"],
+)
+def test_complex_perturbative_run_independent_of_blas_simd_and_libm(tmp_path, platform):
+    """Complex weak moments reach the integrator's generators, and the CSV
+    bytes still do not depend on the BLAS kernel, numpy SIMD level or libm:
+    the moments, the generators and the steps are real arithmetic of fixed
+    order. The first setting also disables every numpy SIMD target."""
+    cfg = _complex_perturbative_config(tmp_path)
+    here = tmp_path / "here.csv"
+    assert main(["run", "--config", cfg, "--out", str(here)]) == 0
+    pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath, **platform)
+    if "GLIBC_TUNABLES" in platform:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_numpy_dispatch_targets())
+    there = tmp_path / "there.csv"
+    subprocess.run(
+        [sys.executable, "-m", "prepost.cli", "run", "--config", cfg, "--out", str(there)],
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+    rows = [line.split(",") for line in here.read_text().splitlines()[1:]]
+    assert float(rows[-1][CSV_COLUMNS.index("ts_01_im")]) != 0.0
+    assert there.read_bytes() == here.read_bytes()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only oracle; the runtime needs numpy alone
     code = "import sys, prepost.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -100,6 +100,41 @@ def test_split_vdots_against_vdot():
         assert abs(g - want) <= 1e-13 * np.sum(np.abs(u) * np.abs(v))
 
 
+def test_matmul_against_numpy_batched_and_broadcast():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(5, 4, 6))
+    b = rng.normal(size=(5, 6, 3))
+    got = detmath.matmul(a, b)
+    assert got.shape == (5, 4, 3)
+    scale = np.matmul(np.abs(a), np.abs(b))
+    assert np.all(np.abs(got - np.matmul(a, b)) <= 1e-14 * scale)
+    # one matrix against a batch, as the increment maps use it
+    c = rng.normal(size=(6, 6))
+    np.testing.assert_allclose(detmath.matmul(c, a.transpose(0, 2, 1)), c @ a.transpose(0, 2, 1), rtol=1e-13)
+
+
+def test_matmul_exact_for_zero_and_identity_factors():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(3, 8, 8)) * 10.0 ** rng.integers(-20, 20, size=(3, 8, 8))
+    eye = np.broadcast_to(np.eye(8), a.shape)
+    np.testing.assert_array_equal(detmath.matmul(a, eye), a)
+    np.testing.assert_array_equal(detmath.matmul(eye, a), a)
+    np.testing.assert_array_equal(detmath.matmul(a, np.zeros_like(a)), np.zeros_like(a))
+    np.testing.assert_array_equal(detmath.matmul(np.zeros_like(a), a), np.zeros_like(a))
+
+
+def test_complex_products_against_numpy():
+    rng = np.random.default_rng(14)
+    a = _random_complex(rng, (5, 5))
+    b = _random_complex(rng, (5, 5))
+    v = _random_complex(rng, 5)
+    np.testing.assert_allclose(detmath.cmatmul(a, b), a @ b, rtol=0, atol=1e-14 * np.max(np.abs(a @ b)))
+    # csplit(a) acts on interleaved (re, im) parts as a acts on v
+    got = detmath.split_matvec(detmath.csplit(a), v.view(np.float64)).view(complex)
+    np.testing.assert_allclose(got, a @ v, rtol=0, atol=1e-14 * np.max(np.abs(a @ v)))
+    np.testing.assert_array_equal(detmath.csplit(np.eye(3, dtype=complex)), np.eye(6))
+
+
 # ---------------------------------------------------------------- two-state kernels
 
 
