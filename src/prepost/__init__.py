@@ -54,11 +54,9 @@ from .liouville import (
     Trajectory,
     WeakMoments,
     burst_interaction,
-    burst_rhs,
     closed_form_spin,
     continuous_interaction,
     integrate,
-    modified_liouville_rhs,
     weak_moments,
 )
 

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import VERIFY_SCENARIOS, ConfigError, ScenarioConfig, load_config, parse_config
 from .detmath import cabs, cmul
 from .qcore import SIGMA_Z, HilbertSpace, Ket, Operator, qubits
 from .twostate import (
@@ -105,15 +105,18 @@ def _rows_perturbative(cfg: ScenarioConfig) -> list:
     dim = s.l_op.shape[0]
     env_space = HilbertSpace((dim,))
     h_e = None if s.h_e is None else Operator(env_space, s.h_e)
-    spec = lv.continuous_interaction(
-        s.lam,
-        [Operator(_QUBIT, SIGMA_Z)],
-        [Operator(env_space, s.l_op)],
-        Ket(env_space, s.e1),
-        Ket(env_space, s.e2),
-        h_e=h_e,
-        t_final=cfg.t2,
-    )
+    try:
+        spec = lv.continuous_interaction(
+            s.lam,
+            [Operator(_QUBIT, SIGMA_Z)],
+            [Operator(env_space, s.l_op)],
+            Ket(env_space, s.e1),
+            Ket(env_space, s.e2),
+            h_e=h_e,
+            t_final=cfg.t2,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"config field 'perturbative': {exc}") from exc
     # snap the grid so the sampled times land exactly on grid points
     steps = math.ceil(s.steps / (cfg.samples - 1)) * (cfg.samples - 1)
     traj = lv.integrate(_initial_two_state(s.sys_pre, s.sys_post, cfg.t2), spec, steps=steps)
@@ -124,7 +127,10 @@ def _rows_burst(cfg: ScenarioConfig) -> list:
     b = cfg.burst
     e1 = lv.product_env_ket([p[1] for p in b.particles])
     e2 = lv.product_env_ket([p[2] for p in b.particles])
-    spec = lv.burst_interaction(b.lam, b.tau, [p[0] for p in b.particles], e1, e2)
+    try:
+        spec = lv.burst_interaction(b.lam, b.tau, [p[0] for p in b.particles], e1, e2)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'burst': {exc}") from exc
     n = len(b.particles)
     traj = lv.integrate(
         _initial_two_state(b.sys_pre, b.sys_post, spec.t_final), spec, steps=b.steps_per_burst * n
@@ -177,10 +183,14 @@ def _finish_verify(reports) -> int:
     return 0
 
 
+def _cmd_verify(cfg: ScenarioConfig) -> int:
+    return _finish_verify(run_verify(cfg.verify.scenario, cfg.seed, cfg.verify.trials))
+
+
 def _cmd_run(config_path: str, out_override) -> int:
     cfg = load_config(config_path)
     if cfg.scenario == "verify":
-        return _finish_verify(run_verify(cfg.verify.scenario, cfg.seed, cfg.verify.trials))
+        return _cmd_verify(cfg)
     out = out_override or cfg.output_path
     if not out:
         raise ConfigError("no output path: set 'output_path' in the config or pass --out")
@@ -200,18 +210,16 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="path to a JSON scenario config")
     p_run.add_argument("--out", help="output CSV path (overrides the config's output_path)")
     p_ver = sub.add_parser("verify", help="randomized cross-checks against independent oracles")
-    p_ver.add_argument(
-        "--scenario",
-        required=True,
-        choices=["spinbath_exact", "probability", "parsel", "perturbative", "all"],
-    )
+    p_ver.add_argument("--scenario", required=True, choices=VERIFY_SCENARIOS)
     p_ver.add_argument("--seed", type=int, default=0, help="PCG64 seed for the parameter draws")
     p_ver.add_argument("--trials", type=int, default=20)
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args.config, args.out)
-        return _finish_verify(run_verify(args.scenario, args.seed, args.trials))
+        # the flags take the same validation as a verify config
+        block = {"scenario": args.scenario, "trials": args.trials}
+        return _cmd_verify(parse_config({"scenario": "verify", "seed": args.seed, "verify": block}))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,18 +20,23 @@ diagonal entries are constants and the coherences evolve as
 with the opposite first-order sign on rho_du. Complex moments are allowed;
 the coherence magnitude then follows the real part of the exponent only.
 
-The burst variant couples the system to one environment particle per window
-of duration tau. For product environment conditions the cross-correlations
-Delta_nm (n != m) vanish and each window's second-order contribution
-integrates to zero, so the two-state returns to rank one at every window
-boundary. Product kets (:func:`product_env_ket`) keep their per-particle
+The burst variant couples the system, through one operator S, to
+environment particle n during the window [n tau, (n+1) tau), where
+
+    d rho_s / dt = -i lam (L_n)_w [S, rho_s] - lam^2 sum_m Delta_nm [S, x_m]
+
+with x_m = tau S rho_s for past partners (m < n), tau rho_s S for future
+partners (m > n) and (t - n tau) S rho_s + ((n+1) tau - t) rho_s S for
+m = n. For product environment conditions the cross-correlations
+Delta_nm (n != m) vanish, and for S S = 1 each window's second-order
+contribution integrates to zero, so the two-state returns to rank one at
+every window boundary. Product kets (:func:`product_env_ket`) keep their per-particle
 factors, so their burst moments are one-particle quantities computed in
 O(n), with cross-correlations exactly zero and no 2^n amplitudes built;
 baths of many tens of particles are cheap. Correlated environment
 conditions (plain kets) take the dense O(n^2 2^n) route, which is also the
 oracle for the product route. They are integrated as written but have no
-independent oracle for the dynamics here and should be treated as
-unverified.
+exact oracle for the dynamics here and should be treated as unverified.
 
 :class:`ContinuousSpec` (one window [0, T]) and :class:`BurstSpec` (one
 window per particle) each own their weak moments and their weak-coupling
@@ -49,6 +54,16 @@ the increment maps and the steps use real arithmetic of fixed order
 bits on every machine. A nonzero free environment Hamiltonian h_e is the
 exception: its phases exp(i h_e T) come from numpy's complex ``exp``, which
 may differ in the last bit between machines.
+
+The compiled generators are the only form of either equation in the
+package. The tests check them, and the stepping, against an independent
+transcription: the equations above written out with commutators in plain
+complex arithmetic, and classical RK4 on that transcription, window by
+window, for several channels, a qutrit system and correlated bursts. This
+catches a wrongly compiled generator or a stepping error, not a wrong
+equation. The equation itself is checked against an exact model only for
+the single sigma_z channel (:func:`closed_form_spin` against the spin
+bath).
 """
 
 from __future__ import annotations
@@ -74,8 +89,6 @@ __all__ = [
     "burst_interaction",
     "product_env_ket",
     "weak_moments",
-    "modified_liouville_rhs",
-    "burst_rhs",
     "integrate",
     "closed_form_spin",
 ]
@@ -159,13 +172,6 @@ def _vec(rs_mat: np.ndarray) -> np.ndarray:
 def _apply(op: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Complex op @ v in real arithmetic of fixed order."""
     return split_matvec(csplit(op), _vec(v)).view(complex)
-
-
-def _evaluate(generators: tuple, t: float, rs_mat: np.ndarray) -> np.ndarray:
-    """(G0 + t G1) vec(rho), returned as a d x d matrix."""
-    g0, g1 = generators
-    out = split_matvec(g0 + t * g1, _vec(rs_mat))
-    return out.view(complex).reshape(rs_mat.shape)
 
 
 @dataclass(eq=False)
@@ -273,16 +279,17 @@ class BurstSpec:
     def generators(self, moments: WeakMoments, window: int) -> tuple:
         """(G0, G1) of one burst window: d vec(rho)/dt = (G0 + t G1) vec(rho).
 
-        With S the system operator, the window's equation is
+        With S the system operator, expanding the window's commutators gives
 
-            f (S rho - rho S) - D (2t - (2n+1) tau) (rho - S rho S)
-            - P (S S rho - S rho S) - F (S rho S - rho S S),
+            f (S rho - rho S) - P (S S rho - S rho S) - F (S rho S - rho S S)
+            - D ((t - n tau) (S S rho - S rho S) + ((n+1) tau - t) (S rho S - rho S S)),
 
-        f = -i lam (L_n)_w and D = lam^2 Delta_nn; P and F are lam^2 times
-        the sums of Delta_nm over past and future partners m, times their
-        durations n tau and (N-n-1) tau. P and F are exactly zero for
-        product conditions, and in the first (no past) and last (no future)
-        windows.
+        f = -i lam (L_n)_w and D = lam^2 Delta_nn; P and F are lam^2 tau
+        times the sums of Delta_nm over past and future partners m, each of
+        which met the system for one window of duration tau. P and F are
+        exactly zero for product conditions, and in the first (no past) and
+        last (no future) windows. For S S = 1 (sigma_x, sigma_z) the D term is
+        -D (2t - (2n+1) tau) (rho - S rho S), zero at the window midpoint.
         """
         tau, lam = self.tau, self.lam
         lam2 = lam * lam
@@ -293,18 +300,18 @@ class BurstSpec:
         first = complex(lam * lw.imag, -(lam * lw.real))
         diag = _rscale(lam2, complex(moments.delta[window, window]))
         dmid = _rscale((2 * window + 1) * tau, diag)
+        dpast = _rscale(window * tau, diag)
+        dnext = _rscale((window + 1) * tau, diag)
         row = moments.delta[window]
-        past = _rscale(window * tau, _rscale(lam2, _fsum(row[:window])))
-        future = _rscale(
-            (len(self.particle_ops) - window - 1) * tau, _rscale(lam2, _fsum(row[window + 1 :]))
-        )
+        past = _rscale(tau, _rscale(lam2, _fsum(row[:window])))
+        future = _rscale(tau, _rscale(lam2, _fsum(row[window + 1 :])))
         const = [
             (first, sig, one), (-first, one, sig),
-            (dmid, one, one), (-dmid, sig, sig),
+            (dpast, sig2, one), (-dmid, sig, sig), (dnext, one, sig2),
             (-past, sig2, one), (past, sig, sig),
             (-future, sig, sig), (future, one, sig2),
         ]
-        slope = [(-2.0 * diag, one, one), (2.0 * diag, sig, sig)]
+        slope = [(-diag, sig2, one), (2.0 * diag, sig, sig), (-diag, one, sig2)]
         return _superop(const, 2), _superop(slope, 2)
 
     def windows(self, moments: WeakMoments, steps: int) -> list:
@@ -523,47 +530,6 @@ def weak_moments(spec: ContinuousSpec | BurstSpec) -> WeakMoments:
     The arrays have shapes (n,) and (n, n) either way.
     """
     return spec.moments()
-
-
-def modified_liouville_rhs(
-    t: float,
-    rs_mat: np.ndarray,
-    spec: ContinuousSpec,
-    moments: WeakMoments,
-) -> np.ndarray:
-    """Right-hand side of the second-order modified Liouville equation.
-
-    The spec's compiled generators (G0 + t G1) applied to vec(rho), the
-    same pair :func:`integrate` steps, in real arithmetic of fixed order.
-    """
-    if not isinstance(spec, ContinuousSpec):
-        raise ValueError("modified_liouville_rhs needs a continuous interaction spec")
-    return _evaluate(spec.generators(moments), t, rs_mat)
-
-
-def burst_rhs(
-    t: float,
-    rs_mat: np.ndarray,
-    spec: BurstSpec,
-    moments: WeakMoments,
-) -> np.ndarray:
-    """Right-hand side of the burst schedule equation, in the window holding t.
-
-    Within window n: the gated first-order term, a diagonal second-order
-    term with time weight 2t - (2n+1) tau (zero at the window midpoint,
-    integrating to zero over the window), and the two cross-correlation
-    terms weighted by Delta_nm over past (n tau) and future ((N-n-1) tau)
-    partners. Evaluated as that window's compiled generators (G0 + t G1)
-    applied to vec(rho), the same pair :func:`integrate` steps.
-    """
-    if not isinstance(spec, BurstSpec):
-        raise ValueError("burst_rhs needs a burst interaction spec")
-    big_t = spec.t_final
-    tol = 1e-9 * max(1.0, big_t)
-    if t < -tol or t > big_t + tol:
-        raise ValueError(f"time {t} outside the burst schedule [0, {big_t}]")
-    window = min(max(int(np.floor(t / spec.tau + 1e-12)), 0), len(spec.particle_ops) - 1)
-    return _evaluate(spec.generators(moments, window), t, rs_mat)
 
 
 def _increment_maps(generators: tuple, starts: np.ndarray, h: float) -> np.ndarray:

@@ -184,6 +184,18 @@ def _check_time(p: SpinBathParams, t: float):
         raise ValueError(f"time {t} outside [0, {p.t_final}]")
 
 
+def _closed_form_chis(p: SpinBathParams, t: float) -> tuple:
+    """The chi values the closed forms read at time t, checked against [0, T].
+
+    Returns chi(0), chi(T), chi(-T), chi(T-2t) and chi(2t-T). Only the last
+    two are computed here; the others were fixed at construction.
+    """
+    _check_time(p, t)
+    c_p, c_m = p._chi_t
+    c_back, c_fwd = _chi_pair(p, p.t_final - 2 * t)
+    return p._chi0, c_p, c_m, c_back, c_fwd
+
+
 def exact_reduced_two_state(p: SpinBathParams, t: float) -> TwoState:
     """Closed-form reduced two-state of the system spin.
 
@@ -192,11 +204,7 @@ def exact_reduced_two_state(p: SpinBathParams, t: float) -> TwoState:
     """
     if not p.has_system_post:
         raise ValueError("exact_reduced_two_state needs a system post-selection")
-    _check_time(p, t)
-    big_t = p.t_final
-    chi0 = p._chi0
-    c_p, c_m = p._chi_t
-    c_back, c_fwd = _chi_pair(p, big_t - 2 * t)
+    chi0, c_p, c_m, c_back, c_fwd = _closed_form_chis(p, t)
     m00 = _scaled(cmul(p.a, _conj(p.a_post)), c_m, chi0)
     m11 = _scaled(cmul(p.b, _conj(p.b_post)), c_p, chi0)
     mat = np.array(
@@ -205,7 +213,7 @@ def exact_reduced_two_state(p: SpinBathParams, t: float) -> TwoState:
             [_scaled(cmul(p.b, _conj(p.a_post)), c_fwd, chi0), m11],
         ]
     )
-    return TwoState(_QUBIT, mat, 0.0, big_t, float(t), boundary_overlap=m00 + m11)
+    return TwoState(_QUBIT, mat, 0.0, p.t_final, float(t), boundary_overlap=m00 + m11)
 
 
 def _env_product_kets(p: SpinBathParams) -> tuple[np.ndarray, np.ndarray]:
@@ -265,11 +273,8 @@ def env_postselected_two_states(p: SpinBathParams, t: float) -> tuple[TwoState, 
     """
     if p.has_system_post:
         raise ValueError("env_postselected_two_states needs system post-selection absent")
-    _check_time(p, t)
+    chi0, c_p, c_m, c_back, c_fwd = _closed_form_chis(p, t)
     big_t = p.t_final
-    chi0 = p._chi0
-    c_p, c_m = p._chi_t
-    c_back, c_fwd = _chi_pair(p, big_t - 2 * t)
     up00 = _scaled(p.a, c_m, chi0)
     down11 = _scaled(p.b, c_p, chi0)
     up = np.array([[up00, 0.0], [_scaled(p.b, c_fwd, chi0), 0.0]], dtype=complex)
@@ -289,15 +294,12 @@ def effective_density_xy(p: SpinBathParams, t: float) -> Operator:
     """
     if p.has_system_post:
         raise ValueError("effective_density_xy needs system post-selection absent")
-    _check_time(p, t)
-    big_t = p.t_final
-    cp, cm = p._chi_t
-    cback, cfwd = _chi_pair(p, big_t - 2 * t)
+    chi0, c_p, c_m, c_back, c_fwd = _closed_form_chis(p, t)
     a, b = complex(p.a), complex(p.b)
-    d_up = _abs2(a) * (_abs2(cm) + _abs2(cback))
-    d_dn = _abs2(b) * (_abs2(cp) + _abs2(cfwd))
-    off = cmul(cmul(a, _conj(b)), cmul(cm, _conj(cfwd)) + cmul(cback, _conj(cp)))
-    scale = 2.0 * _abs2(p._chi0)
+    d_up = _abs2(a) * (_abs2(c_m) + _abs2(c_back))
+    d_dn = _abs2(b) * (_abs2(c_p) + _abs2(c_fwd))
+    off = cmul(cmul(a, _conj(b)), cmul(c_m, _conj(c_fwd)) + cmul(c_back, _conj(c_p)))
+    scale = 2.0 * _abs2(chi0)
     off = complex(off.real / scale, off.imag / scale)
     mat = np.array([[d_up / scale, off], [off.conjugate(), d_dn / scale]], dtype=complex)
     return Operator(_QUBIT, mat)

@@ -46,7 +46,6 @@ VERIFY_TOLERANCES = {
 }
 
 _QUBIT = qubits(1)
-_SZ_SET = ProjectorSet.from_observable(Operator(_QUBIT, SIGMA_Z))
 
 
 @dataclass

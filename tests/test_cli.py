@@ -129,6 +129,32 @@ def test_exit_3_on_formalism_error(tmp_path, capsys):
     assert "orthogonal" in captured.err
 
 
+def test_exit_2_when_h_e_does_not_commute_with_l_op(tmp_path, capsys):
+    data = _load("perturbative_spin")
+    data["perturbative"]["env"]["h_e"] = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    code = main(["run", "--config", _write(tmp_path, data), "--out", str(tmp_path / "o.csv")])
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: config field 'perturbative'")
+    assert "commute" in err_lines[0]
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--trials", "0"], "verify.trials"), (["--seed", "-1"], "seed")],
+    ids=["trials-0", "seed-minus-1"],
+)
+def test_exit_2_on_bad_verify_flag(flags, field, capsys):
+    code = main(["verify", "--scenario", "all"] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: config field '{field}'")
+    assert "result:" not in captured.out
+
+
 def test_exit_0_and_summary_on_success(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     code = main(["run", "--config", str(CONFIGS / "spinbath_exact.json"), "--out", str(out)])

@@ -74,6 +74,51 @@ def _generic_initial(rng=None):
     return TwoState(QUBIT, np.outer(u.amps, v.amps.conj()), 0.0, 1.0, 0.0)
 
 
+def _comm(a, b):
+    return a @ b - b @ a
+
+
+def _written_rhs(spec, moments, t, rho, window=None):
+    """The right-hand side written out with commutators, in plain complex numpy.
+
+    Continuous spec (``window`` None):
+
+        -i lam (L_i)_w [Q_i, rho] - lam^2 Delta_ij [Q_i, t Q_j rho + (T - t) rho Q_j]
+
+    Burst window n:
+
+        -i lam (L_n)_w [S, rho] - lam^2 sum_m Delta_nm [S, x_m]
+
+    with x_m = tau S rho for past partners (m < n), tau rho S for future
+    ones (m > n) and (t - n tau) S rho + ((n+1) tau - t) rho S for m = n.
+    Nothing here reads the spec's compiled generators.
+    """
+    lam, l_w, delta = spec.lam, moments.l_w, moments.delta
+    if window is None:
+        qs = [q.entries for q in spec.q_ops]
+        big_t = spec.t_final
+        out = np.zeros(rho.shape, dtype=complex)
+        for i, qi in enumerate(qs):
+            out -= 1j * lam * l_w[i] * _comm(qi, rho)
+            for j, qj in enumerate(qs):
+                x = t * (qj @ rho) + (big_t - t) * (rho @ qj)
+                out -= lam**2 * delta[i, j] * _comm(qi, x)
+        return out
+    n, tau, s = window, spec.tau, spec.sys_op
+    past = delta[n, :n].sum() * tau * (s @ rho)
+    future = delta[n, n + 1 :].sum() * tau * (rho @ s)
+    own = delta[n, n] * ((t - n * tau) * (s @ rho) + ((n + 1) * tau - t) * (rho @ s))
+    return -1j * lam * l_w[n] * _comm(s, rho) - lam**2 * _comm(s, past + future + own)
+
+
+def _generated(spec, moments, t, rho, window=None):
+    """The spec's compiled (G0 + t G1) applied to vec(rho), as a matrix."""
+    args = (moments,) if window is None else (moments, window)
+    g0, g1 = spec.generators(*args)
+    vec = np.ascontiguousarray(rho, dtype=complex).reshape(-1).view(np.float64)
+    return ((g0 + t * g1) @ vec).view(complex).reshape(rho.shape)
+
+
 # ---------------------------------------------------------------- weak moments
 
 
@@ -172,14 +217,15 @@ def test_burst_moments_detect_correlations():
     assert abs(m.delta[0, 1]) > 0.1
 
 
-# ---------------------------------------------------------------- continuous RHS
+# ---------------------------------------------------------------- continuous generators
 
 
 def test_rhs_zero_coupling():
     spec = _single_channel_spec(lam=0.0)
     m = lv.weak_moments(spec)
     mat = _generic_initial().mat
-    np.testing.assert_array_equal(lv.modified_liouville_rhs(0.3, mat, spec, m), np.zeros((2, 2)))
+    np.testing.assert_array_equal(_generated(spec, m, 0.3, mat), np.zeros((2, 2)))
+    np.testing.assert_array_equal(_written_rhs(spec, m, 0.3, mat), np.zeros((2, 2)))
 
 
 def test_rhs_dispersion_free_is_first_order_flow():
@@ -189,7 +235,7 @@ def test_rhs_dispersion_free_is_first_order_flow():
     m = lv.weak_moments(spec)
     assert abs(m.delta[0, 0]) < 1e-14
     mat = _generic_initial().mat
-    rhs = lv.modified_liouville_rhs(0.7, mat, spec, m)
+    rhs = _generated(spec, m, 0.7, mat)
     first_order = -1j * spec.lam * m.l_w[0] * (SIGMA_Z @ mat - mat @ SIGMA_Z)
     np.testing.assert_allclose(rhs, first_order, atol=1e-15)
 
@@ -199,7 +245,7 @@ def test_rhs_single_channel_reduces_to_spin_form():
     m = lv.weak_moments(spec)
     mat = _generic_initial().mat
     for t in (0.0, 0.4, 1.0, 1.3):
-        rhs = lv.modified_liouville_rhs(t, mat, spec, m)
+        rhs = _generated(spec, m, t, mat)
         spin_form = -1j * spec.lam * m.l_w[0] * (SIGMA_Z @ mat - mat @ SIGMA_Z) - spec.lam**2 * m.delta[
             0, 0
         ] * (2 * t - spec.t_final) * (mat - SIGMA_Z @ mat @ SIGMA_Z)
@@ -225,32 +271,14 @@ def test_rhs_two_noncommuting_channels_match_written_equation():
     m = lv.weak_moments(spec)
     assert abs(m.delta[0, 1] - m.delta[1, 0]) > 0.1
     mat = _generic_initial().mat
-    lam, big_t = spec.lam, spec.t_final
-
-    def written(t, delta, cross=True):
-        # -i lam (L_i)_w [Q_i, rho] - lam^2 Delta_ij [Q_i, t Q_j rho + (T - t) rho Q_j]
-        out = np.zeros((2, 2), dtype=complex)
-        for i, qi in enumerate(qs):
-            out += -1j * lam * m.l_w[i] * (qi @ mat - mat @ qi)
-            for j, qj in enumerate(qs):
-                if cross or i == j:
-                    x = t * (qj @ mat) + (big_t - t) * (mat @ qj)
-                    out -= lam**2 * delta[i, j] * (qi @ x - x @ qi)
-        return out
-
+    swapped = lv.WeakMoments(l_w=m.l_w, delta=m.delta.T)
+    no_cross = lv.WeakMoments(l_w=m.l_w, delta=np.diag(np.diagonal(m.delta)))
     for t in (0.0, 0.4, 1.3):
-        rhs = lv.modified_liouville_rhs(t, mat, spec, m)
-        np.testing.assert_allclose(rhs, written(t, m.delta), rtol=0, atol=1e-14)
+        rhs = _generated(spec, m, t, mat)
+        np.testing.assert_allclose(rhs, _written_rhs(spec, m, t, mat), rtol=0, atol=1e-14)
         # swapped indices and dropped cross terms are far outside that tolerance
-        assert np.max(np.abs(rhs - written(t, m.delta.T))) > 1e-3
-        assert np.max(np.abs(rhs - written(t, m.delta, cross=False))) > 1e-3
-
-
-def test_rhs_kind_mismatch():
-    spec = _single_channel_spec()
-    m = lv.weak_moments(spec)
-    with pytest.raises(ValueError):
-        lv.burst_rhs(0.0, np.eye(2, dtype=complex), spec, m)
+        assert np.max(np.abs(rhs - _written_rhs(spec, swapped, t, mat))) > 1e-3
+        assert np.max(np.abs(rhs - _written_rhs(spec, no_cross, t, mat))) > 1e-3
 
 
 def test_commutation_requirement_enforced():
@@ -409,7 +437,7 @@ def _product_burst(rng, n, lam=0.5, tau=0.04):
     )
 
 
-def test_burst_rhs_midpoint_null():
+def test_burst_generators_midpoint_null():
     # at the window midpoint only the first-order term survives (product env)
     rng = np.random.default_rng(4)
     spec = _product_burst(rng, 6)
@@ -417,12 +445,12 @@ def test_burst_rhs_midpoint_null():
     mat = _generic_initial().mat
     for n in range(6):
         t_mid = (n + 0.5) * spec.tau
-        rhs = lv.burst_rhs(t_mid, mat, spec, m)
+        rhs = _generated(spec, m, t_mid, mat, window=n)
         first = -1j * spec.lam * m.l_w[n] * (SIGMA_Z @ mat - mat @ SIGMA_Z)
         np.testing.assert_allclose(rhs, first, atol=1e-13)
 
 
-def test_burst_rhs_cross_terms_for_correlated_conditions():
+def test_burst_generators_cross_terms_for_correlated_conditions():
     # an entangled final condition makes Delta_01 nonzero: window 0 carries
     # the future cross term, window 1 the past one
     space = qubits(2)
@@ -439,15 +467,31 @@ def test_burst_rhs_cross_terms_for_correlated_conditions():
             want -= lam**2 * m.delta[1, 0] * tau * (z @ z @ mat - z @ mat @ z)
         else:
             want -= lam**2 * m.delta[0, 1] * tau * (z @ mat @ z - mat @ z @ z)
-        np.testing.assert_allclose(lv.burst_rhs(t, mat, spec, m), want, rtol=0, atol=1e-15)
+        got = _generated(spec, m, t, mat, window=n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_written_rhs(spec, m, t, mat, window=n), want, rtol=0, atol=1e-15)
 
 
-def test_burst_rhs_time_domain_checked():
-    rng = np.random.default_rng(5)
-    spec = _product_burst(rng, 3)
+def test_burst_generators_match_written_equation_for_any_system_operator():
+    # S S != 1: the window's own second-order term keeps S S rho and rho S S,
+    # which the sigma_z form (rho - S rho S) would lose; with three correlated
+    # particles the first window has two future partners and the last two
+    # past ones, each weighted by the single window tau it met the system in
+    rng = np.random.default_rng(23)
+    space = qubits(3)
+    s = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, 0.5]])
+    spec = lv.burst_interaction(
+        0.3, 0.3, [SIGMA_Z, SIGMA_X, SIGMA_Z], random_ket(space, rng), random_ket(space, rng),
+        sys_op=s,
+    )
     m = lv.weak_moments(spec)
-    with pytest.raises(ValueError):
-        lv.burst_rhs(3 * spec.tau + 1.0, np.eye(2, dtype=complex), spec, m)
+    assert np.min(np.abs(m.delta)) > 1e-2
+    mat = _generic_initial().mat
+    for n in range(3):
+        for t in (n * spec.tau, (n + 0.3) * spec.tau, (n + 1) * spec.tau):
+            want = _written_rhs(spec, m, t, mat, window=n)
+            got = _generated(spec, m, t, mat, window=n)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_burst_integration_matches_windowed_closed_form():
@@ -524,22 +568,21 @@ def test_product_burst_of_64_particles_stays_factorized():
 # ---------------------------------------------------------------- RK4 oracle
 
 
-def _rk4_oracle(rhs, y0, windows, inset=0.0):
-    """Classical RK4 on rhs(t, rho), one (t0, h, n) window after another.
-
-    The right-end stage of a window is evaluated ``inset`` inside it: at a
-    window boundary ``burst_rhs`` already switches to the next window.
-    """
+def _rk4_oracle(spec, moments, y0, windows):
+    """Classical RK4 on :func:`_written_rhs`, one (t0, h, n, window) after another."""
     y = np.array(y0, dtype=complex)
     out = [y]
-    for t0, h, n in windows:
-        last = t0 + n * h - inset
+    for t0, h, n, window in windows:
+
+        def rhs(t, rho):
+            return _written_rhs(spec, moments, t, rho, window)
+
         for k in range(n):
             t = t0 + k * h
             k1 = rhs(t, y)
             k2 = rhs(t + h / 2, y + h / 2 * k1)
             k3 = rhs(t + h / 2, y + h / 2 * k2)
-            k4 = rhs(min(t + h, last), y + h * k3)
+            k4 = rhs(t + h, y + h * k3)
             y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
             out.append(y)
     return np.array(out)
@@ -551,13 +594,10 @@ def _assert_matches_oracle(spec, rs0, steps):
     if isinstance(spec, lv.BurstSpec):
         n = len(spec.particle_ops)
         per = steps // n
-        windows = [(k * spec.tau, spec.tau / per, per) for k in range(n)]
-        want = _rk4_oracle(
-            lambda t, y: lv.burst_rhs(t, y, spec, m), rs0.mat, windows, inset=1e-11 * spec.tau
-        )
+        windows = [(k * spec.tau, spec.tau / per, per, k) for k in range(n)]
     else:
-        windows = [(0.0, spec.t_final / steps, steps)]
-        want = _rk4_oracle(lambda t, y: lv.modified_liouville_rhs(t, y, spec, m), rs0.mat, windows)
+        windows = [(0.0, spec.t_final / steps, steps, None)]
+    want = _rk4_oracle(spec, m, rs0.mat, windows)
     assert traj.mats.shape == want.shape
     scale = np.max(np.abs(want))
     assert np.max(np.abs(traj.mats - want)) <= 1e-13 * scale
@@ -591,15 +631,9 @@ def test_integrate_matches_rk4_oracle_qutrit_system():
     u, v = random_ket(sys3, rng), random_ket(sys3, rng)
     rs0 = TwoState(sys3, np.outer(u.amps, v.amps.conj()), 0.0, 1.0, 0.0)
     # the compiled generators against the written-out equation
-    mat, lam, q = rs0.mat, spec.lam, [op.entries for op in qs]
     for t in (0.0, 0.37, 1.0):
-        want = np.zeros((3, 3), dtype=complex)
-        for i in range(2):
-            want += -1j * lam * m.l_w[i] * (q[i] @ mat - mat @ q[i])
-            for j in range(2):
-                x = t * (q[j] @ mat) + (1.0 - t) * (mat @ q[j])
-                want -= lam**2 * m.delta[i, j] * (q[i] @ x - x @ q[i])
-        got = lv.modified_liouville_rhs(t, mat, spec, m)
+        want = _written_rhs(spec, m, t, rs0.mat)
+        got = _generated(spec, m, t, rs0.mat)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
     _assert_matches_oracle(spec, rs0, 300)
 
