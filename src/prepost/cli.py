@@ -8,22 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
-from .config import VERIFY_SCENARIOS, ConfigError, ScenarioConfig, load_config, parse_config
-from .detmath import cabs, cmul
-from .qcore import SIGMA_Z, HilbertSpace, Ket, Operator, qubits
-from .twostate import (
-    FormalismError,
-    ProjectorSet,
-    TwoState,
-    effective_density,
-    purity,
-    singular_values,
-)
+from .config import VERIFY_SCENARIOS, ConfigError, ScenarioConfig, load_config
+from .detmath import cabs
+from .qcore import SIGMA_Z, Operator, qubits
+from .twostate import FormalismError, ProjectorSet, effective_density, purity, singular_values
 from . import liouville as lv
 from . import spinbath as sb
 from .verify import run_verify
@@ -37,8 +29,7 @@ CSV_COLUMNS = [
     "sv1", "sv2", "coh_mag", "purity_eff", "a_indep_score",
 ]
 
-_QUBIT = qubits(1)
-_SZ_SET = ProjectorSet.from_observable(Operator(_QUBIT, SIGMA_Z))
+_SZ_SET = ProjectorSet.from_observable(Operator(qubits(1), SIGMA_Z))
 
 
 def _fmt(x) -> str:
@@ -61,18 +52,18 @@ def _score(states) -> float:
 
 
 def _rows_spinbath_exact(cfg: ScenarioConfig) -> list:
-    p = cfg.spinbath
+    p = cfg.model
     rows = []
-    for t in np.linspace(cfg.t1, cfg.t2, cfg.samples):
+    for t in np.linspace(0.0, p.t_final, cfg.samples):
         ts = sb.exact_reduced_two_state(p, t)
         rows.append(_row(t, ts.mat, None, _score([ts])))
     return rows
 
 
 def _rows_spinbath_env_post(cfg: ScenarioConfig) -> list:
-    p = cfg.spinbath
+    p = cfg.model
     rows = []
-    for t in np.linspace(cfg.t1, cfg.t2, cfg.samples):
+    for t in np.linspace(0.0, p.t_final, cfg.samples):
         pair = sb.env_postselected_two_states(p, t)
         pur = purity(sb.effective_density_xy(p, t))
         # the recorded two-state is the spin-up bath branch
@@ -80,69 +71,22 @@ def _rows_spinbath_env_post(cfg: ScenarioConfig) -> list:
     return rows
 
 
-def _initial_two_state(sys_pre: np.ndarray, sys_post: np.ndarray, t_final: float) -> TwoState:
-    mat = np.array([[cmul(u, complex(v).conjugate()) for v in sys_post] for u in sys_pre])
-    return TwoState(
-        _QUBIT, mat, 0.0, t_final, 0.0,
-        boundary_overlap=complex(np.vdot(sys_post, sys_pre)),
-    )
-
-
-def _sampled_indices(n_grid_steps: int, samples: int) -> list:
-    return [round(j * n_grid_steps / (samples - 1)) for j in range(samples)]
-
-
-def _rows_from_trajectory(traj: lv.Trajectory, samples: int) -> list:
+def _rows_integrated(cfg: ScenarioConfig) -> list:
+    run = cfg.model
+    traj = lv.integrate(run.rs0, run.spec, steps=run.steps)
+    last = len(traj.times) - 1
     rows = []
-    for i in _sampled_indices(len(traj.times) - 1, samples):
-        st = traj.state(i)
-        rows.append(_row(traj.times[i], st.mat, None, _score([st])))
+    for j in range(cfg.samples):
+        st = traj.state(round(j * last / (cfg.samples - 1)))
+        rows.append(_row(st.t, st.mat, None, _score([st])))
     return rows
-
-
-def _rows_perturbative(cfg: ScenarioConfig) -> list:
-    s = cfg.perturbative
-    dim = s.l_op.shape[0]
-    env_space = HilbertSpace((dim,))
-    h_e = None if s.h_e is None else Operator(env_space, s.h_e)
-    try:
-        spec = lv.continuous_interaction(
-            s.lam,
-            [Operator(_QUBIT, SIGMA_Z)],
-            [Operator(env_space, s.l_op)],
-            Ket(env_space, s.e1),
-            Ket(env_space, s.e2),
-            h_e=h_e,
-            t_final=cfg.t2,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config field 'perturbative': {exc}") from exc
-    # snap the grid so the sampled times land exactly on grid points
-    steps = math.ceil(s.steps / (cfg.samples - 1)) * (cfg.samples - 1)
-    traj = lv.integrate(_initial_two_state(s.sys_pre, s.sys_post, cfg.t2), spec, steps=steps)
-    return _rows_from_trajectory(traj, cfg.samples)
-
-
-def _rows_burst(cfg: ScenarioConfig) -> list:
-    b = cfg.burst
-    e1 = lv.product_env_ket([p[1] for p in b.particles])
-    e2 = lv.product_env_ket([p[2] for p in b.particles])
-    try:
-        spec = lv.burst_interaction(b.lam, b.tau, [p[0] for p in b.particles], e1, e2)
-    except ValueError as exc:
-        raise ConfigError(f"config field 'burst': {exc}") from exc
-    n = len(b.particles)
-    traj = lv.integrate(
-        _initial_two_state(b.sys_pre, b.sys_post, spec.t_final), spec, steps=b.steps_per_burst * n
-    )
-    return _rows_from_trajectory(traj, cfg.samples)
 
 
 _ROW_BUILDERS = {
     "spinbath_exact": _rows_spinbath_exact,
     "spinbath_env_post": _rows_spinbath_env_post,
-    "perturbative_spin": _rows_perturbative,
-    "burst": _rows_burst,
+    "perturbative_spin": _rows_integrated,
+    "burst": _rows_integrated,
 }
 
 
@@ -166,7 +110,8 @@ def _print_summary(rows: list, path: str):
         print(f"max a-independence score: {max(scores):.3g}")
 
 
-def _finish_verify(reports) -> int:
+def _verify(scenario: str, seed: int, trials: int) -> int:
+    reports = run_verify(scenario, seed, trials)
     for rep in reports:
         print("\n".join(rep.lines()))
     failing = [r for r in reports if not r.ok]
@@ -183,14 +128,10 @@ def _finish_verify(reports) -> int:
     return 0
 
 
-def _cmd_verify(cfg: ScenarioConfig) -> int:
-    return _finish_verify(run_verify(cfg.verify.scenario, cfg.seed, cfg.verify.trials))
-
-
 def _cmd_run(config_path: str, out_override) -> int:
     cfg = load_config(config_path)
     if cfg.scenario == "verify":
-        return _cmd_verify(cfg)
+        return _verify(cfg.model.scenario, cfg.seed, cfg.model.trials)
     out = out_override or cfg.output_path
     if not out:
         raise ConfigError("no output path: set 'output_path' in the config or pass --out")
@@ -200,8 +141,28 @@ def _cmd_run(config_path: str, out_override) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _integer_at_least(minimum: int):
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return value
+
+    return integer
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prepost",
         description="pre- and post-selected quantum dynamics: scenario trajectories and oracle verification",
     )
@@ -211,15 +172,15 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="output CSV path (overrides the config's output_path)")
     p_ver = sub.add_parser("verify", help="randomized cross-checks against independent oracles")
     p_ver.add_argument("--scenario", required=True, choices=VERIFY_SCENARIOS)
-    p_ver.add_argument("--seed", type=int, default=0, help="PCG64 seed for the parameter draws")
-    p_ver.add_argument("--trials", type=int, default=20)
-    args = parser.parse_args(argv)
+    p_ver.add_argument(
+        "--seed", type=_integer_at_least(0), default=0, help="PCG64 seed for the parameter draws"
+    )
+    p_ver.add_argument("--trials", type=_integer_at_least(1), default=20)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             return _cmd_run(args.config, args.out)
-        # the flags take the same validation as a verify config
-        block = {"scenario": args.scenario, "trials": args.trials}
-        return _cmd_verify(parse_config({"scenario": "verify", "seed": args.seed, "verify": block}))
+        return _verify(args.scenario, args.seed, args.trials)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

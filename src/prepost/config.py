@@ -1,25 +1,36 @@
 """Scenario configuration: JSON schema with complex numbers as [re, im] pairs.
 
-Validation is strict: unknown keys are rejected and every error names the
-offending field, so a config failure is always actionable from the message
-alone.
+The parser returns the objects that run a scenario, built and validated
+here once: :class:`~prepost.spinbath.SpinBathParams` for the spin-bath
+scenarios, a :class:`LiouvilleRun` (spec, initial two-state, step count)
+for the integrated ones, :class:`VerifySettings` for ``verify``.
+Validation is strict: unknown keys are rejected and every error, including
+a library constructor's, names the offending field or block, so a config
+failure is always actionable from the message alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
-from .qcore import SIGMA_Z
+from . import liouville as lv
+from .detmath import cmul
+from .qcore import SIGMA_Z, HilbertSpace, Ket, Operator, qubits
 from .spinbath import NORM_TOL, SpinBathParams
+from .twostate import TwoState
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "LiouvilleRun", "ScenarioConfig", "load_config", "parse_config"]
 
 SCENARIOS = ("spinbath_exact", "spinbath_env_post", "perturbative_spin", "burst", "verify")
 VERIFY_SCENARIOS = ("spinbath_exact", "probability", "parsel", "perturbative", "all")
+
+_QUBIT = qubits(1)
 
 
 class ConfigError(Exception):
@@ -37,9 +48,14 @@ def _check_keys(d, path, required, optional=()):
         raise ConfigError(f"config field '{path}' is missing keys: {sorted(missing)}")
 
 
+def _finite(x) -> bool:
+    """A JSON number, excluding the NaN and Infinity that Python's json accepts."""
+    return not isinstance(x, bool) and isinstance(x, (int, float)) and math.isfinite(x)
+
+
 def _number(x, path) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ConfigError(f"config field '{path}' must be a number")
+    if not _finite(x):
+        raise ConfigError(f"config field '{path}' must be a finite number")
     return float(x)
 
 
@@ -58,19 +74,14 @@ def _string(x, path) -> str:
 
 
 def _complex(x, path) -> complex:
-    if (
-        not isinstance(x, (list, tuple))
-        or len(x) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in x)
-    ):
-        raise ConfigError(f"config field '{path}' must be a [re, im] pair")
+    if not isinstance(x, (list, tuple)) or len(x) != 2 or not all(_finite(v) for v in x):
+        raise ConfigError(f"config field '{path}' must be a [re, im] pair of finite numbers")
     return complex(x[0], x[1])
 
 
-def _cvector(x, path, length=None) -> np.ndarray:
-    if not isinstance(x, list) or (length is not None and len(x) != length):
-        want = f" of length {length}" if length is not None else ""
-        raise ConfigError(f"config field '{path}' must be a list{want} of [re, im] pairs")
+def _cvector(x, path, length) -> np.ndarray:
+    if not isinstance(x, list) or len(x) != length:
+        raise ConfigError(f"config field '{path}' must be a list of length {length} of [re, im] pairs")
     return np.array([_complex(v, f"{path}[{i}]") for i, v in enumerate(x)])
 
 
@@ -80,13 +91,15 @@ def _cmatrix(x, path, dim=None) -> np.ndarray:
     n = len(x) if dim is None else dim
     if len(x) != n:
         raise ConfigError(f"config field '{path}' must have {n} rows")
-    rows = [_cvector(row, f"{path}[{i}]", length=n) for i, row in enumerate(x)]
+    rows = [_cvector(row, f"{path}[{i}]", n) for i, row in enumerate(x)]
     return np.array(rows)
 
 
-def _normalized(vec: np.ndarray, path):
+def _unit_cvector(x, path, length) -> np.ndarray:
+    vec = _cvector(x, path, length)
     if abs(float(np.sum(np.abs(vec) ** 2)) - 1.0) > NORM_TOL:
         raise ConfigError(f"config field '{path}' is not normalized within 1e-12")
+    return vec
 
 
 def _hermitian(mat: np.ndarray, path):
@@ -95,25 +108,12 @@ def _hermitian(mat: np.ndarray, path):
 
 
 @dataclass(eq=False)
-class PerturbativeSettings:
-    lam: float
+class LiouvilleRun:
+    """An integrated scenario ready to run: ``integrate(rs0, spec, steps)``."""
+
+    spec: Union[lv.ContinuousSpec, lv.BurstSpec]
+    rs0: TwoState
     steps: int
-    sys_pre: np.ndarray
-    sys_post: np.ndarray
-    l_op: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    h_e: Optional[np.ndarray]
-
-
-@dataclass(eq=False)
-class BurstSettings:
-    lam: float
-    tau: float
-    steps_per_burst: int
-    sys_pre: np.ndarray
-    sys_post: np.ndarray
-    particles: list  # (l_op, e1, e2) triples
 
 
 @dataclass(eq=False)
@@ -124,66 +124,75 @@ class VerifySettings:
 
 @dataclass(eq=False)
 class ScenarioConfig:
+    """A parsed scenario: ``model`` is the object that runs it.
+
+    :class:`SpinBathParams` for the spin-bath scenarios, :class:`LiouvilleRun`
+    for ``perturbative_spin`` and ``burst``, :class:`VerifySettings` for
+    ``verify``. Every trajectory starts at t = 0 and ends at the model's
+    ``t_final``.
+    """
+
     scenario: str
     seed: int
-    t1: float
-    t2: float
     samples: int
     output_path: Optional[str]
-    spinbath: Optional[SpinBathParams] = None
-    perturbative: Optional[PerturbativeSettings] = None
-    burst: Optional[BurstSettings] = None
-    verify: Optional[VerifySettings] = None
+    model: Union[SpinBathParams, LiouvilleRun, VerifySettings]
 
 
-def _parse_time(d) -> tuple[float, float, int]:
+@contextmanager
+def _named(block: str):
+    """Report a library constructor's ValueError as a ConfigError naming ``block``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"config field '{block}': {exc}") from exc
+
+
+def _parse_time(d) -> tuple[float, int]:
+    """(t2, samples); every scenario starts at t1 = 0."""
     _check_keys(d, "time", required=("t1", "t2", "samples"))
     t1 = _number(d["t1"], "time.t1")
     t2 = _number(d["t2"], "time.t2")
     samples = _integer(d["samples"], "time.samples", minimum=2)
+    if abs(t1) > 1e-12:
+        raise ConfigError("config field 'time.t1' must be 0")
     if t2 <= t1:
         raise ConfigError("config field 'time.t2' must exceed 'time.t1'")
-    return t1, t2, samples
+    return t2, samples
 
 
-def _parse_spinbath(d, scenario, t1, t2) -> SpinBathParams:
+def _initial_two_state(d, block: str, t_final: float) -> TwoState:
+    """|system_pre><system_post| at t = 0, from the block's system conditions."""
+    pre = _unit_cvector(d["system_pre"], f"{block}.system_pre", 2)
+    post = _unit_cvector(d["system_post"], f"{block}.system_post", 2)
+    mat = np.array([[cmul(u, complex(v).conjugate()) for v in post] for u in pre])
+    return TwoState(_QUBIT, mat, 0.0, t_final, 0.0, boundary_overlap=complex(np.vdot(post, pre)))
+
+
+def _parse_spinbath(d, scenario, t2) -> SpinBathParams:
+    # only spinbath_exact post-selects the system; elsewhere system_post is an unknown key
     want_post = scenario == "spinbath_exact"
-    required = ["n", "g", "system_pre", "env_pre", "env_post"]
-    optional = []
-    (required if want_post else optional).append("system_post")
-    _check_keys(d, "spinbath", required=required, optional=optional)
-    if not want_post and "system_post" in d:
-        raise ConfigError(
-            "config field 'spinbath.system_post' is not allowed for spinbath_env_post"
-        )
+    required = ["n", "g", "system_pre", "env_pre", "env_post"] + (["system_post"] if want_post else [])
+    _check_keys(d, "spinbath", required=required)
     n = _integer(d["n"], "spinbath.n", minimum=1)
     if not isinstance(d["g"], list) or len(d["g"]) != n:
         raise ConfigError(f"config field 'spinbath.g' must be a list of {n} numbers")
     g = np.array([_number(v, f"spinbath.g[{i}]") for i, v in enumerate(d["g"])])
-    if abs(t1) > 1e-12:
-        raise ConfigError("config field 'time.t1' must be 0 for spin-bath scenarios")
 
-    sys_pre = _cvector(d["system_pre"], "spinbath.system_pre", length=2)
-    _normalized(sys_pre, "spinbath.system_pre")
-    sys_post = None
-    if want_post:
-        sys_post = _cvector(d["system_post"], "spinbath.system_post", length=2)
-        _normalized(sys_post, "spinbath.system_post")
+    sys_pre = _unit_cvector(d["system_pre"], "spinbath.system_pre", 2)
+    sys_post = _unit_cvector(d["system_post"], "spinbath.system_post", 2) if want_post else None
 
     def env_block(key):
         block = d[key]
         if not isinstance(block, list) or len(block) != n:
             raise ConfigError(f"config field 'spinbath.{key}' must list {n} amplitude pairs")
-        pairs = []
-        for k, entry in enumerate(block):
-            pair = _cvector(entry, f"spinbath.{key}[{k}]", length=2)
-            _normalized(pair, f"spinbath.{key}[{k}]")
-            pairs.append(pair)
-        return np.array(pairs)
+        return np.array(
+            [_unit_cvector(entry, f"spinbath.{key}[{k}]", 2) for k, entry in enumerate(block)]
+        )
 
     env_pre = env_block("env_pre")
     env_post = env_block("env_post")
-    try:
+    with _named("spinbath"):
         return SpinBathParams(
             n=n,
             g=g,
@@ -197,11 +206,9 @@ def _parse_spinbath(d, scenario, t1, t2) -> SpinBathParams:
             a_post=None if sys_post is None else sys_post[0],
             b_post=None if sys_post is None else sys_post[1],
         )
-    except ValueError as exc:
-        raise ConfigError(f"config field 'spinbath': {exc}") from exc
 
 
-def _parse_perturbative(d) -> PerturbativeSettings:
+def _parse_perturbative(d, t2, samples) -> LiouvilleRun:
     _check_keys(
         d,
         "perturbative",
@@ -209,31 +216,34 @@ def _parse_perturbative(d) -> PerturbativeSettings:
         optional=("steps",),
     )
     lam = _number(d["lambda"], "perturbative.lambda")
-    steps = _integer(d.get("steps", 2000), "perturbative.steps", minimum=10)
-    sys_pre = _cvector(d["system_pre"], "perturbative.system_pre", length=2)
-    sys_post = _cvector(d["system_post"], "perturbative.system_post", length=2)
-    _normalized(sys_pre, "perturbative.system_pre")
-    _normalized(sys_post, "perturbative.system_post")
+    steps = _integer(d.get("steps", 2000), "perturbative.steps", minimum=lv.MIN_STEPS)
     env = d["env"]
     _check_keys(env, "perturbative.env", required=("l_op", "e1", "e2"), optional=("h_e",))
     l_op = _cmatrix(env["l_op"], "perturbative.env.l_op")
     _hermitian(l_op, "perturbative.env.l_op")
     dim = l_op.shape[0]
-    e1 = _cvector(env["e1"], "perturbative.env.e1", length=dim)
-    e2 = _cvector(env["e2"], "perturbative.env.e2", length=dim)
-    _normalized(e1, "perturbative.env.e1")
-    _normalized(e2, "perturbative.env.e2")
+    e1 = _unit_cvector(env["e1"], "perturbative.env.e1", dim)
+    e2 = _unit_cvector(env["e2"], "perturbative.env.e2", dim)
     h_e = None
     if "h_e" in env:
         h_e = _cmatrix(env["h_e"], "perturbative.env.h_e", dim=dim)
-        _hermitian(h_e, "perturbative.env.h_e")
-    return PerturbativeSettings(
-        lam=lam, steps=steps, sys_pre=sys_pre, sys_post=sys_post,
-        l_op=l_op, e1=e1, e2=e2, h_e=h_e,
-    )
+    space = HilbertSpace((dim,))
+    with _named("perturbative"):
+        spec = lv.continuous_interaction(
+            lam,
+            [Operator(_QUBIT, SIGMA_Z)],
+            [Operator(space, l_op)],
+            Ket(space, e1),
+            Ket(space, e2),
+            h_e=None if h_e is None else Operator(space, h_e),
+            t_final=t2,
+        )
+    # snap the grid so the sampled times land exactly on grid points
+    steps = math.ceil(steps / (samples - 1)) * (samples - 1)
+    return LiouvilleRun(spec, _initial_two_state(d, "perturbative", t2), steps)
 
 
-def _parse_burst(d, t1, t2) -> BurstSettings:
+def _parse_burst(d, t2) -> LiouvilleRun:
     _check_keys(
         d,
         "burst",
@@ -242,16 +252,10 @@ def _parse_burst(d, t1, t2) -> BurstSettings:
     )
     lam = _number(d["lambda"], "burst.lambda")
     tau = _number(d["tau"], "burst.tau")
-    if tau <= 0:
-        raise ConfigError("config field 'burst.tau' must be positive")
     steps_per_burst = _integer(d.get("steps_per_burst", 100), "burst.steps_per_burst", minimum=1)
-    sys_pre = _cvector(d["system_pre"], "burst.system_pre", length=2)
-    sys_post = _cvector(d["system_post"], "burst.system_post", length=2)
-    _normalized(sys_pre, "burst.system_pre")
-    _normalized(sys_post, "burst.system_post")
     if not isinstance(d["particles"], list) or not d["particles"]:
         raise ConfigError("config field 'burst.particles' must be a nonempty list")
-    particles = []
+    ops, e1s, e2s = [], [], []
     for k, entry in enumerate(d["particles"]):
         path = f"burst.particles[{k}]"
         _check_keys(entry, path, required=("e1", "e2"), optional=("l_op",))
@@ -261,22 +265,22 @@ def _parse_burst(d, t1, t2) -> BurstSettings:
         else:
             l_op = SIGMA_Z.copy()
         dim = l_op.shape[0]
-        e1 = _cvector(entry["e1"], f"{path}.e1", length=dim)
-        e2 = _cvector(entry["e2"], f"{path}.e2", length=dim)
-        _normalized(e1, f"{path}.e1")
-        _normalized(e2, f"{path}.e2")
-        particles.append((l_op, e1, e2))
-    if abs(t1) > 1e-12:
-        raise ConfigError("config field 'time.t1' must be 0 for the burst scenario")
-    expected_t2 = len(particles) * tau
-    if abs(t2 - expected_t2) > 1e-9 * max(1.0, expected_t2):
+        ops.append(l_op)
+        e1s.append(_unit_cvector(entry["e1"], f"{path}.e1", dim))
+        e2s.append(_unit_cvector(entry["e2"], f"{path}.e2", dim))
+    with _named("burst"):
+        spec = lv.burst_interaction(lam, tau, ops, lv.product_env_ket(e1s), lv.product_env_ket(e2s))
+    if abs(t2 - spec.t_final) > 1e-9 * max(1.0, spec.t_final):
         raise ConfigError(
-            f"config field 'time.t2' must equal n_particles*tau = {expected_t2!r} for the burst scenario"
+            f"config field 'time.t2' must equal n_particles*tau = {spec.t_final!r} for the burst scenario"
         )
-    return BurstSettings(
-        lam=lam, tau=tau, steps_per_burst=steps_per_burst,
-        sys_pre=sys_pre, sys_post=sys_post, particles=particles,
-    )
+    steps = steps_per_burst * len(ops)
+    if steps < lv.MIN_STEPS:
+        raise ConfigError(
+            f"config field 'burst.steps_per_burst' gives {steps} integration steps over "
+            f"{len(ops)} particles; need at least {lv.MIN_STEPS}"
+        )
+    return LiouvilleRun(spec, _initial_two_state(d, "burst", spec.t_final), steps)
 
 
 def _parse_verify(d) -> VerifySettings:
@@ -313,28 +317,19 @@ def parse_config(data) -> ScenarioConfig:
     if "output_path" in data:
         output_path = _string(data["output_path"], "output_path")
 
-    if scenario == "verify":
-        t1, t2, samples = 0.0, 1.0, 2
-        if "time" in data:
-            t1, t2, samples = _parse_time(data["time"])
-        return ScenarioConfig(
-            scenario=scenario, seed=seed, t1=t1, t2=t2, samples=samples,
-            output_path=output_path, verify=_parse_verify(data["verify"]),
-        )
-
-    t1, t2, samples = _parse_time(data["time"])
-    cfg = ScenarioConfig(
-        scenario=scenario, seed=seed, t1=t1, t2=t2, samples=samples, output_path=output_path
-    )
-    if block_key == "spinbath":
-        cfg.spinbath = _parse_spinbath(data["spinbath"], scenario, t1, t2)
+    t2, samples = _parse_time(data["time"]) if "time" in data else (1.0, 2)
+    block = data[block_key]
+    if block_key == "verify":
+        model = _parse_verify(block)
+    elif block_key == "spinbath":
+        model = _parse_spinbath(block, scenario, t2)
     elif block_key == "perturbative":
-        if abs(t1) > 1e-12:
-            raise ConfigError("config field 'time.t1' must be 0 for perturbative_spin")
-        cfg.perturbative = _parse_perturbative(data["perturbative"])
+        model = _parse_perturbative(block, t2, samples)
     else:
-        cfg.burst = _parse_burst(data["burst"], t1, t2)
-    return cfg
+        model = _parse_burst(block, t2)
+    return ScenarioConfig(
+        scenario=scenario, seed=seed, samples=samples, output_path=output_path, model=model
+    )
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -164,7 +164,7 @@ def split_vdots(u: np.ndarray, vs) -> list:
     out = []
     for v in vs:
         vf = np.ascontiguousarray(v, dtype=complex).view(np.float64)
-        out.append(complex(float(np.sum(uf * vf)), float(np.sum(us * vf))))
+        out.append(complex(float(np.add.reduce(uf * vf)), float(np.add.reduce(us * vf))))
     return out
 
 

@@ -51,8 +51,10 @@ once (RK4 applied to the identity, batched over the block's step times) and
 advances y_{k+1} = y_k + D_k y_k. The weak moments, the compiled generators,
 the increment maps and the steps use real arithmetic of fixed order
 (:mod:`prepost.detmath`), so complex environment conditions give the same
-bits on every machine. A nonzero free environment Hamiltonian h_e is the
-exception: its phases exp(i h_e T) come from numpy's complex ``exp``, which
+bits on every machine. A diagonal free environment Hamiltonian h_e enters
+through its phases exp(i h_kk T), taken from the same fixed-order sine and
+cosine. A non-diagonal h_e is the one exception: it is diagonalized by
+LAPACK and its phases come from numpy's complex ``exp``, either of which
 may differ in the last bit between machines.
 
 The compiled generators are the only form of either equation in the
@@ -76,8 +78,20 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .detmath import cabs, cdiv, cmatmul, csplit, join, matmul, split_matvec, split_vdots
-from .qcore import SIGMA_Z, HilbertSpace, Ket, Operator, ProductKet, propagate
+from .detmath import (
+    SINCOS_MAX_ARG,
+    cabs,
+    cdiv,
+    cmatmul,
+    cmul,
+    csplit,
+    join,
+    matmul,
+    sincos,
+    split_matvec,
+    split_vdots,
+)
+from .qcore import DIAGONAL_TOL, SIGMA_Z, HilbertSpace, Ket, Operator, ProductKet, propagate
 from .twostate import FormalismError, TwoState, purity
 
 __all__ = [
@@ -94,6 +108,8 @@ __all__ = [
 ]
 
 COMMUTATION_TOL = 1e-10
+# the fewest steps :func:`integrate` takes
+MIN_STEPS = 10
 
 # steps whose increment maps are built in one batch: long windows are worked
 # through in blocks, so the (block, m, m) temporaries stay small
@@ -122,12 +138,15 @@ def _dense_moments(e_in: np.ndarray, e_out: np.ndarray, applied: list, backs) ->
     """Moments from <e_out|e_in>, <e_out|L_j e_in> and <L_i^dagger e_out|L_j e_in>.
 
     ``applied[j]`` is L_j e_in and ``backs`` yields L_i^dagger e_out in
-    order; every dot is a real-split sum of fixed order.
+    order; every dot is a real-split sum of fixed order. The conditions are
+    orthogonal when |<e_out|e_in>| <= 1e-12 |e_in| |e_out|, judged relative
+    to the kets so that their scale does not matter.
     """
-    (den,) = split_vdots(e_out, [e_in])
-    if cabs(den) <= 1e-12:
+    den, nout, *firsts = split_vdots(e_out, [e_in, e_out, *applied])
+    (nin,) = split_vdots(e_in, [e_in])
+    if cabs(den) <= 1e-12 * math.sqrt(nin.real) * math.sqrt(nout.real):
         raise FormalismError("orthogonal environment conditions: weak moments undefined")
-    l_w = np.array([cdiv(x, den) for x in split_vdots(e_out, applied)])
+    l_w = np.array([cdiv(x, den) for x in firsts])
     second = np.array([[cdiv(x, den) for x in split_vdots(back, applied)] for back in backs])
     return _with_delta(l_w, second)
 
@@ -266,8 +285,17 @@ class BurstSpec:
             l_w = np.empty(n, dtype=complex)
             delta = np.zeros((n, n), dtype=complex)
             pairs = zip(self.env_in.factors, self.env_out.factors)
+            # one particle at a time, so orthogonality is judged per factor:
+            # the product of all overlaps underflows for long environments
+            # whose every factor is well conditioned
             for k, (op, (a, b)) in enumerate(zip(ops, pairs)):
-                l_w[k], delta[k, k] = _particle_moments(k, op, a, b)
+                applied = [_apply_particle(op, 0, (a.size,), a)]
+                back = [_apply_particle(op.conj().T, 0, (b.size,), b)]
+                try:
+                    m = _dense_moments(a, b, applied, back)
+                except FormalismError as exc:
+                    raise FormalismError(f"particle {k}: {exc}") from None
+                l_w[k], delta[k, k] = m.l_w[0], m.delta[0, 0]
             return WeakMoments(l_w=l_w, delta=delta)
         e1 = self.env_in.amps
         e2 = self.env_out.amps
@@ -373,11 +401,14 @@ def continuous_interaction(
     """Continuous coupling lam * sum_i Q_i (x) L_i with free env conditions.
 
     The free environment Hamiltonian must commute with every L_i (the
-    regime in which the interaction picture reduces to the free case).
-    Without one (``h_e=None``) the weak moments are the same bits on every
-    machine. A nonzero ``h_e`` carries e2 back to t = 0 with the phases
-    exp(i h_e T) of numpy's complex ``exp``, whose last bit may depend on
-    the machine, and so may the trajectory's.
+    regime in which the interaction picture reduces to the free case); it
+    carries e2 back to t = 0. Without one (``h_e=None``) or with a diagonal
+    one, the weak moments are the same bits on every machine: a diagonal
+    h_e acts by the phases exp(i h_kk T) from
+    :func:`~prepost.detmath.sincos`, and |h_kk T| above ``SINCOS_MAX_ARG``
+    raises ``ValueError``. A non-diagonal ``h_e`` is exponentiated through
+    LAPACK and numpy's complex ``exp``, whose last bit may depend on the
+    machine, and so may the trajectory's.
     """
     if not q_ops or len(q_ops) != len(l_ops):
         raise ValueError("need matching, nonempty Q and L operator lists")
@@ -403,11 +434,35 @@ def continuous_interaction(
                 raise ValueError(
                     f"free environment Hamiltonian does not commute with coupling operator {i}"
                 )
-        env_out = Ket(env_space, propagate(h_e, -float(t_final), e2.amps))
+        env_out = Ket(env_space, _carry_back(h_e, float(t_final), e2.amps))
     return ContinuousSpec(
         lam=float(lam), t_final=float(t_final), q_ops=list(q_ops), l_ops=list(l_ops),
         env_in=e1, env_out=env_out,
     )
+
+
+def _carry_back(h_e: Operator, t_final: float, e2: np.ndarray) -> np.ndarray:
+    """exp(i h_e T) e2: e2 carried back from T to 0 under the free Hamiltonian.
+
+    A diagonal h_e (off-diagonal magnitudes below ``qcore.DIAGONAL_TOL``, as
+    in :func:`~prepost.qcore.propagate`) acts by the phases exp(i h_kk T),
+    taken from :func:`~prepost.detmath.sincos` and multiplied in split
+    parts: the same bits on every machine. Any other h_e goes through
+    :func:`~prepost.qcore.propagate` and LAPACK.
+    """
+    entries = h_e.entries
+    diag = np.diagonal(entries)
+    if float(np.max(np.abs(entries - np.diag(diag)))) >= DIAGONAL_TOL:
+        return propagate(h_e, -t_final, e2)
+    out = []
+    for h, z in zip(diag.real.tolist(), e2.tolist()):
+        if not abs(h * t_final) <= SINCOS_MAX_ARG:
+            raise ValueError(
+                f"free environment phases |h_kk| T must be finite and at most {SINCOS_MAX_ARG:.6g}"
+            )
+        s, c = sincos(h * t_final)
+        out.append(cmul(complex(c, s), z))
+    return np.array(out)
 
 
 def product_env_ket(parts: Sequence[np.ndarray]) -> ProductKet:
@@ -480,34 +535,6 @@ def _apply_particle(op: np.ndarray, k: int, dims: tuple, vec: np.ndarray) -> np.
     return out.reshape(-1)
 
 
-def _particle_moments(k: int, op: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """(L)_w and (L^2)_w - (L)_w^2 of one particle with conditions a, b.
-
-    Orthogonality is judged on this particle's overlap relative to |a||b|,
-    not on the product over all particles, which underflows for long
-    environments whose every factor is well conditioned.
-    """
-    dims = (a.size,)
-    applied = _apply_particle(op, 0, dims, a)
-    back = _apply_particle(op.conj().T, 0, dims, b)
-    den, first = split_vdots(b, [a, applied])
-    (second,) = split_vdots(back, [applied])
-    (aa,) = split_vdots(a, [a])
-    (bb,) = split_vdots(b, [b])
-    if cabs(den) <= 1e-12 * math.sqrt(aa.real) * math.sqrt(bb.real):
-        raise FormalismError(
-            f"orthogonal environment conditions on particle {k}: weak moments undefined"
-        )
-    lw = cdiv(first, den)
-    sw = cdiv(second, den)
-    # the same real-part order as the dense route's outer product
-    dd = complex(
-        sw.real - (lw.real * lw.real - lw.imag * lw.imag),
-        sw.imag - (lw.real * lw.imag + lw.imag * lw.real),
-    )
-    return lw, dd
-
-
 def weak_moments(spec: ContinuousSpec | BurstSpec) -> WeakMoments:
     """(L_i)_w and Delta_ij with respect to the free environment two-state.
 
@@ -568,8 +595,8 @@ def integrate(rs0: TwoState, spec: ContinuousSpec | BurstSpec, steps: int = 2000
     outside the weak-coupling validity regime warns but proceeds.
     """
     steps = int(steps)
-    if steps < 10:
-        raise ValueError("need at least 10 integration steps")
+    if steps < MIN_STEPS:
+        raise ValueError(f"need at least {MIN_STEPS} integration steps")
     if abs(rs0.t - rs0.t1) > 1e-9 * max(1.0, rs0.duration):
         raise ValueError("initial two-state must be given at its own t1")
     name, value, limit = spec.validity()

@@ -44,7 +44,7 @@ __all__ = [
 HERMITIAN_TOL = 1e-10
 
 # below this off-diagonal magnitude a generator is evolved by pure phases
-_DIAGONAL_TOL = 1e-14
+DIAGONAL_TOL = 1e-14
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -249,7 +249,7 @@ def propagate(h: Operator, t: float, vecs: np.ndarray) -> np.ndarray:
     entries = h.entries
     diag = np.diagonal(entries)
     off = entries - np.diag(diag)
-    if entries.shape[0] == 1 or float(np.max(np.abs(off))) < _DIAGONAL_TOL:
+    if entries.shape[0] == 1 or float(np.max(np.abs(off))) < DIAGONAL_TOL:
         phases = np.exp(-1j * diag.real * t)
         return phases[:, None] * vecs if vecs.ndim == 2 else phases * vecs
     w, v = np.linalg.eigh(entries)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,26 @@ def test_bad_complex_pair_named():
         parse_config(data)
 
 
+@pytest.mark.parametrize(
+    "name, block, key, value, field",
+    [
+        ("perturbative_spin", "perturbative", "lambda", float("nan"), "perturbative.lambda"),
+        ("spinbath_exact", "spinbath", "system_pre", [[float("inf"), 0.0], [0.0, 0.0]],
+         r"spinbath.system_pre\[0\]"),
+    ],
+    ids=["lambda-nan", "system-pre-infinity"],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, name, block, key, value, field):
+    # Python's json reads NaN and Infinity; neither may reach the model
+    data = _load(name)
+    data[block][key] = value
+    code = main(["run", "--config", _write(tmp_path, data), "--out", str(tmp_path / "o.csv")])
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err_lines) == 1
+    assert re.match(f"error: config field '{field}' must be .*finite", err_lines[0])
+
+
 def test_env_post_forbids_system_post():
     data = _load("spinbath_env_post")
     data["spinbath"]["system_post"] = [[1.0, 0.0], [0.0, 0.0]]
@@ -141,18 +162,50 @@ def test_exit_2_when_h_e_does_not_commute_with_l_op(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags, field",
-    [(["--trials", "0"], "verify.trials"), (["--seed", "-1"], "seed")],
-    ids=["trials-0", "seed-minus-1"],
+    "flags, flag",
+    [(["--trials", "0"], "--trials"), (["--seed", "-1"], "--seed"), (["--trials", "abc"], "--trials")],
+    ids=["trials-0", "seed-minus-1", "trials-abc"],
 )
-def test_exit_2_on_bad_verify_flag(flags, field, capsys):
+def test_exit_2_on_bad_verify_flag(flags, flag, capsys):
     code = main(["verify", "--scenario", "all"] + flags)
     captured = capsys.readouterr()
     assert code == 2
     err_lines = captured.err.strip().splitlines()
     assert len(err_lines) == 1
-    assert err_lines[0].startswith(f"error: config field '{field}'")
+    assert err_lines[0].startswith(f"error: argument {flag}")
     assert "result:" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify", "--scenario", "bogus"], "--scenario"),
+        (["run"], "--config"),
+    ],
+    ids=["scenario-bogus", "run-without-config"],
+)
+def test_exit_2_on_bad_command_line(argv, named, capsys):
+    # argparse would print its usage over several lines and raise SystemExit
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: ")
+    assert named in err_lines[0]
+    assert captured.out == ""
+
+
+def test_exit_2_on_burst_with_too_few_steps(tmp_path, capsys):
+    data = _load("burst")
+    data["burst"]["particles"] = data["burst"]["particles"][:3]
+    data["time"]["t2"] = 3 * data["burst"]["tau"]
+    data["burst"]["steps_per_burst"] = 1
+    code = main(["run", "--config", _write(tmp_path, data), "--out", str(tmp_path / "o.csv")])
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith("error: config field 'burst.steps_per_burst'")
 
 
 def test_exit_0_and_summary_on_success(tmp_path, capsys):
@@ -197,7 +250,7 @@ def test_csv_floats_round_trip(tmp_path):
     cfg = load_config(str(CONFIGS / "spinbath_exact.json"))
     row = lines[37].split(",")
     t = float(row[0])
-    ts = sb.exact_reduced_two_state(cfg.spinbath, t)
+    ts = sb.exact_reduced_two_state(cfg.model, t)
     # 17 significant digits round-trip float64 exactly
     assert float(row[1]) == ts.mat[0, 0].real
     assert float(row[4]) == ts.mat[0, 1].imag
@@ -257,40 +310,57 @@ def test_goldens_independent_of_blas_simd_and_libm(tmp_path):
         assert got == (GOLDENS / f"{name}.csv").read_bytes(), f"{name}: platform drift"
 
 
-def _complex_perturbative_config(tmp_path) -> str:
-    """perturbative_spin with complex e1/e2 and a complex Hermitian 3x3 L, no h_e."""
-    rng = np.random.default_rng(11)
+def _complex_perturbative_config(tmp_path, diagonal_h_e=False) -> str:
+    """perturbative_spin with complex e1/e2 and either a complex Hermitian 3x3
+    L and no h_e, or a diagonal L with a diagonal h_e, which commutes with it."""
+    rng = np.random.default_rng(0 if diagonal_h_e else 11)
     e1 = rng.normal(size=3) + 1j * rng.normal(size=3)
     e2 = rng.normal(size=3) + 1j * rng.normal(size=3)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
 
     def pair(z):
         return [float(z.real), float(z.imag)]
 
-    data = _load("perturbative_spin")
-    data["perturbative"]["lambda"] = 0.2
-    data["perturbative"]["env"] = {
-        "l_op": [[pair(z) for z in row] for row in (a + a.conj().T) / 2.0],
+    def matrix(m):
+        return [[pair(z) for z in row] for row in m]
+
+    env = {
         "e1": [pair(z) for z in e1 / np.linalg.norm(e1)],
         "e2": [pair(z) for z in e2 / np.linalg.norm(e2)],
     }
+    if diagonal_h_e:
+        env["l_op"] = matrix(np.diag(rng.normal(size=3)))
+        env["h_e"] = matrix(np.diag(3.0 * rng.normal(size=3)))
+    else:
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        env["l_op"] = matrix((a + a.conj().T) / 2.0)
+    data = _load("perturbative_spin")
+    data["perturbative"]["lambda"] = 0.2
+    data["perturbative"]["env"] = env
     return _write(tmp_path, data, "complex.json")
 
 
+_PRESCOTT_NOSIMD_NOFMA = {
+    "OPENBLAS_CORETYPE": "Prescott",
+    "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA",
+}
+
+
 @pytest.mark.parametrize(
-    "platform",
+    "platform, diagonal_h_e",
     [
-        {"OPENBLAS_CORETYPE": "Prescott", "GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"},
-        {"OPENBLAS_CORETYPE": "Haswell"},
+        (_PRESCOTT_NOSIMD_NOFMA, False),
+        ({"OPENBLAS_CORETYPE": "Haswell"}, False),
+        (_PRESCOTT_NOSIMD_NOFMA, True),
     ],
-    ids=["prescott-nosimd-nofma", "haswell"],
+    ids=["prescott-nosimd-nofma", "haswell", "diagonal-h_e-prescott-nosimd-nofma"],
 )
-def test_complex_perturbative_run_independent_of_blas_simd_and_libm(tmp_path, platform):
+def test_complex_perturbative_run_independent_of_blas_simd_and_libm(tmp_path, platform, diagonal_h_e):
     """Complex weak moments reach the integrator's generators, and the CSV
     bytes still do not depend on the BLAS kernel, numpy SIMD level or libm:
     the moments, the generators and the steps are real arithmetic of fixed
-    order. The first setting also disables every numpy SIMD target."""
-    cfg = _complex_perturbative_config(tmp_path)
+    order, and a diagonal h_e's phases come from detmath.sincos. The
+    Prescott setting also disables every numpy SIMD target."""
+    cfg = _complex_perturbative_config(tmp_path, diagonal_h_e)
     here = tmp_path / "here.csv"
     assert main(["run", "--config", cfg, "--out", str(here)]) == 0
     pythonpath = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.linalg import expm
 from hypothesis import strategies as st
 
 from prepost.qcore import (
@@ -140,6 +141,22 @@ def test_moments_single_spin_weak_value_one():
     spec = _single_channel_spec(e_pair=(up, plus))
     m = lv.weak_moments(spec)
     assert m.l_w[0] == pytest.approx(1.0)
+
+
+def test_moments_independent_of_the_kets_scale():
+    # orthogonality is judged relative to |e1||e2|: kets scaled by 1e-7 have
+    # an overlap near 1e-14 but the same weak moments
+    rng = np.random.default_rng(4)
+    env = qubits(2)
+    e1, e2 = random_ket(env, rng), random_ket(env, rng)
+    l_op = random_hermitian(env, rng)
+    q = Operator(QUBIT, SIGMA_Z)
+    unit = lv.weak_moments(lv.continuous_interaction(0.1, [q], [l_op], e1, e2))
+    small = [Ket(env, 1e-7 * e.amps) for e in (e1, e2)]
+    scaled = lv.weak_moments(lv.continuous_interaction(0.1, [q], [l_op], *small))
+    assert abs(np.vdot(e2.amps, e1.amps)) > 0.1
+    np.testing.assert_allclose(scaled.l_w, unit.l_w, rtol=1e-12)
+    np.testing.assert_allclose(scaled.delta, unit.delta, rtol=1e-12)
 
 
 def test_moments_match_per_spin_products():
@@ -290,6 +307,26 @@ def test_commutation_requirement_enforced():
         lv.continuous_interaction(
             0.1, [Operator(QUBIT, SIGMA_Z)], [Operator(env, SIGMA_Z)], e1, e2, h_e=h_e
         )
+
+
+def test_free_hamiltonian_carries_e2_back():
+    # a diagonal h_e acts by sincos phases, a non-diagonal one through
+    # propagate; both must give exp(i h_e T) e2
+    rng = np.random.default_rng(6)
+    env = HilbertSpace((3,))
+    e1, e2 = random_ket(env, rng), random_ket(env, rng)
+    q = Operator(QUBIT, SIGMA_Z)
+    l_op = Operator(env, np.diag([1.0, 1.0, -0.5]).astype(complex))
+    diagonal = np.diag([0.3, -1.7, 2.2])
+    block = np.array([[0.3, 0.4, 0.0], [0.4, -1.7, 0.0], [0.0, 0.0, 2.2]])
+    for h in (diagonal, block):
+        h_e = Operator(env, h.astype(complex))
+        spec = lv.continuous_interaction(0.1, [q], [l_op], e1, e2, h_e=h_e, t_final=1.3)
+        want = expm(1.3j * h) @ e2.amps
+        np.testing.assert_allclose(spec.env_out.amps, want, rtol=0, atol=1e-14)
+    huge = Operator(env, np.diag([0.0, 0.0, 1e7]).astype(complex))
+    with pytest.raises(ValueError, match="phases"):
+        lv.continuous_interaction(0.1, [q], [l_op], e1, e2, h_e=huge)
 
 
 # ---------------------------------------------------------------- closed form
