@@ -92,7 +92,7 @@ from .detmath import (
     split_vdots,
 )
 from .qcore import DIAGONAL_TOL, SIGMA_Z, HilbertSpace, Ket, Operator, ProductKet, propagate
-from .twostate import FormalismError, TwoState, purity
+from .twostate import ENV_OVERLAP_TOL, FormalismError, TwoState, purity
 
 __all__ = [
     "ContinuousSpec",
@@ -139,12 +139,12 @@ def _dense_moments(e_in: np.ndarray, e_out: np.ndarray, applied: list, backs) ->
 
     ``applied[j]`` is L_j e_in and ``backs`` yields L_i^dagger e_out in
     order; every dot is a real-split sum of fixed order. The conditions are
-    orthogonal when |<e_out|e_in>| <= 1e-12 |e_in| |e_out|, judged relative
-    to the kets so that their scale does not matter.
+    orthogonal when |<e_out|e_in>| <= ENV_OVERLAP_TOL |e_in| |e_out|, judged
+    relative to the kets so that their scale does not matter.
     """
     den, nout, *firsts = split_vdots(e_out, [e_in, e_out, *applied])
     (nin,) = split_vdots(e_in, [e_in])
-    if cabs(den) <= 1e-12 * math.sqrt(nin.real) * math.sqrt(nout.real):
+    if cabs(den) <= ENV_OVERLAP_TOL * math.sqrt(nin.real) * math.sqrt(nout.real):
         raise FormalismError("orthogonal environment conditions: weak moments undefined")
     l_w = np.array([cdiv(x, den) for x in firsts])
     second = np.array([[cdiv(x, den) for x in split_vdots(back, applied)] for back in backs])

@@ -104,12 +104,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "Ket":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero ket")
-        return Ket(self.space, self.amps / n)
-
 
 class ProductKet(Ket):
     """Product ket that keeps one amplitude vector per tensor factor.
@@ -171,9 +165,6 @@ class Operator:
     def is_unitary(self, tol: float = HERMITIAN_TOL) -> bool:
         d = self.space.total_dim
         return float(np.max(np.abs(self.entries @ self.entries.conj().T - np.eye(d)))) <= tol
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.entries.conj().T)
 
 
 def basis_ket(space: HilbertSpace, index: int) -> Ket:

@@ -16,9 +16,14 @@ coefficients are values of the bath dephasing product
 The diagonal coefficients are time independent, the off-diagonal ones carry
 chi(T-2t) and chi(2t-T), so the reduced two-state is rank one at both
 boundaries and generically entangled in between: the post-selection forces
-recoherence. `brute_force_reduced` re-derives the same object from the full
-2^(n+1)-dimensional joint evolution with exact per-basis-state phases and is
-the oracle everything else is tested against.
+recoherence. When only the bath is post-selected, the same formula at the
+system posts |up> and |down> gives the two reduced two-states of the
+environment-only rule. `brute_force_reduced` re-derives the reduced
+two-state from the full 2^(n+1)-dimensional joint evolution with exact
+per-basis-state phases and is the oracle everything else is tested against;
+it reads the bath's product kets, which :class:`SpinBathParams` holds as
+:class:`~prepost.qcore.ProductKet` values whose amplitudes are built once,
+on first read. The closed forms never touch kets.
 
 The closed forms write their numbers to the CLI's CSV, so they are computed
 with :mod:`prepost.detmath` only: the same bits on every IEEE-754 machine.
@@ -27,14 +32,15 @@ The brute-force oracle keeps numpy's complex routes, independent of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .detmath import SINCOS_MAX_ARG, cdiv, cmul, sincos
-from .qcore import Ket, Operator, qubits
-from .twostate import FormalismError, TwoState
+from .qcore import Ket, Operator, ProductKet, qubits, tensor
+from .twostate import ENV_OVERLAP_TOL, FormalismError, TwoState
 
 __all__ = [
     "SpinBathParams",
@@ -116,15 +122,21 @@ class SpinBathParams:
         # Per spin, chi's factor A e^{igx} + B e^{-igx} with A = alpha conj(alpha_post)
         # and B = beta conj(beta_post) is (P cos + Q sin) + i (R cos + S sin);
         # (g, P, Q, R, S) are derived once, as are the time-independent chi(0)
-        # and chi(+-T). The parameters are not meant to change after construction.
+        # and chi(+-T) and the bath's product kets. The parameters are not
+        # meant to change after construction.
         ar, ai = _conj_product(self.alpha, self.alpha_post)
         br, bi = _conj_product(self.beta, self.beta_post)
         terms = (self.g, ar + br, bi - ai, ai + bi, ar - br)
         self._chi_spins = list(zip(*(x.tolist() for x in terms)))
         self._chi0 = _chi_pair(self, 0.0)[0]
         self._chi_t = _chi_pair(self, self.t_final)
+        self._env_kets = (
+            ProductKet(np.column_stack([self.alpha, self.beta])),
+            ProductKet(np.column_stack([self.alpha_post, self.beta_post])),
+        )
 
-        if _abs2(self._chi0) <= 1e-24:
+        # chi(0) = <e2|e1>, judged relative to |e1||e2| = sqrt(prod_k pre_k post_k)
+        if abs(self._chi0) <= ENV_OVERLAP_TOL * math.sqrt(float(np.prod(pre_norm * post_norm))):
             raise FormalismError(
                 "orthogonal free environment conditions: the reduction normalization vanishes"
             )
@@ -174,7 +186,9 @@ def _conj(z) -> complex:
 
 
 def _scaled(amp: complex, chi: complex, chi0: complex) -> complex:
-    """amp * chi / chi0, in that order."""
+    """amp * chi / chi0, in that order; +0.0 for a zero amplitude."""
+    if amp == 0:
+        return 0j
     return cdiv(cmul(amp, chi), chi0)
 
 
@@ -196,6 +210,24 @@ def _closed_form_chis(p: SpinBathParams, t: float) -> tuple:
     return p._chi0, c_p, c_m, c_back, c_fwd
 
 
+def _reduced(p: SpinBathParams, chis: tuple, a_post: complex, b_post: complex, t: float) -> TwoState:
+    """The closed-form reduced two-state for the system post (a_post, b_post).
+
+    Entry (i, j) is s1_i conj(s2_j) chi(.) / chi(0), where (s1_0, s1_1) =
+    (a, b), (s2_0, s2_1) = (a_post, b_post) and chi(.) is chi(-T), chi(T-2t),
+    chi(2t-T) and chi(T) in row-major order; ``chis`` is
+    :func:`_closed_form_chis` at t.
+    """
+    chi0, c_p, c_m, c_back, c_fwd = chis
+    a, b, a2, b2 = p.a, p.b, _conj(a_post), _conj(b_post)
+    m00 = _scaled(cmul(a, a2), c_m, chi0)
+    m11 = _scaled(cmul(b, b2), c_p, chi0)
+    mat = np.array(
+        [[m00, _scaled(cmul(a, b2), c_back, chi0)], [_scaled(cmul(b, a2), c_fwd, chi0), m11]]
+    )
+    return TwoState(_QUBIT, mat, 0.0, p.t_final, float(t), boundary_overlap=m00 + m11)
+
+
 def exact_reduced_two_state(p: SpinBathParams, t: float) -> TwoState:
     """Closed-form reduced two-state of the system spin.
 
@@ -204,25 +236,7 @@ def exact_reduced_two_state(p: SpinBathParams, t: float) -> TwoState:
     """
     if not p.has_system_post:
         raise ValueError("exact_reduced_two_state needs a system post-selection")
-    chi0, c_p, c_m, c_back, c_fwd = _closed_form_chis(p, t)
-    m00 = _scaled(cmul(p.a, _conj(p.a_post)), c_m, chi0)
-    m11 = _scaled(cmul(p.b, _conj(p.b_post)), c_p, chi0)
-    mat = np.array(
-        [
-            [m00, _scaled(cmul(p.a, _conj(p.b_post)), c_back, chi0)],
-            [_scaled(cmul(p.b, _conj(p.a_post)), c_fwd, chi0), m11],
-        ]
-    )
-    return TwoState(_QUBIT, mat, 0.0, p.t_final, float(t), boundary_overlap=m00 + m11)
-
-
-def _env_product_kets(p: SpinBathParams) -> tuple[np.ndarray, np.ndarray]:
-    e1 = np.ones(1, dtype=complex)
-    e2 = np.ones(1, dtype=complex)
-    for k in range(p.n):
-        e1 = np.kron(e1, np.array([p.alpha[k], p.beta[k]]))
-        e2 = np.kron(e2, np.array([p.alpha_post[k], p.beta_post[k]]))
-    return e1, e2
+    return _reduced(p, _closed_form_chis(p, t), p.a_post, p.b_post, t)
 
 
 def env_energies(g: np.ndarray) -> np.ndarray:
@@ -237,17 +251,18 @@ def env_energies(g: np.ndarray) -> np.ndarray:
 def brute_force_reduced(p: SpinBathParams, t: float) -> TwoState:
     """Independent oracle: full joint evolution, traced and normalized.
 
-    Builds the 2^(n+1)-dimensional boundary kets, applies the exact
-    per-basis-state phases e^{-i E t} (left slot) and e^{-i E (t-T)}
-    (right slot) with E(s, m) = sum_k g_k z_s z_k, contracts over the bath
-    and divides by the free overlap <e2|e1>. No matrix is ever built, so
-    the full n = 12 range stays cheap.
+    Reads the 2^n bath amplitudes of the product kets held by ``p`` (built
+    on the first call, then reused), applies the exact per-basis-state
+    phases e^{-i E t} (left slot) and e^{-i E (t-T)} (right slot) with
+    E(s, m) = sum_k g_k z_s z_k, contracts over the bath and divides by the
+    free overlap <e2|e1>. No matrix is ever built, so the full n = 12 range
+    stays cheap.
     """
     if not p.has_system_post:
         raise ValueError("brute_force_reduced needs a system post-selection")
     _check_time(p, t)
     big_t = p.t_final
-    e1, e2 = _env_product_kets(p)
+    e1, e2 = (k.amps for k in p._env_kets)
     eps = env_energies(p.g)
     s1 = (p.a, p.b)
     s2 = (p.a_post, p.b_post)
@@ -258,7 +273,7 @@ def brute_force_reduced(p: SpinBathParams, t: float) -> TwoState:
         u[i] = s1[i] * np.exp(-1j * sgn * eps * t) * e1
         v[i] = s2[i] * np.exp(-1j * sgn * eps * (t - big_t)) * e2
     norm = complex(np.vdot(e2, e1))
-    if abs(norm) <= 1e-12:
+    if abs(norm) <= ENV_OVERLAP_TOL * np.linalg.norm(e1) * np.linalg.norm(e2):
         raise FormalismError("orthogonal free environment conditions")
     mat = (u @ v.conj().T) / norm
     return TwoState(_QUBIT, mat, 0.0, big_t, float(t), boundary_overlap=complex(np.trace(mat)))
@@ -273,15 +288,8 @@ def env_postselected_two_states(p: SpinBathParams, t: float) -> tuple[TwoState, 
     """
     if p.has_system_post:
         raise ValueError("env_postselected_two_states needs system post-selection absent")
-    chi0, c_p, c_m, c_back, c_fwd = _closed_form_chis(p, t)
-    big_t = p.t_final
-    up00 = _scaled(p.a, c_m, chi0)
-    down11 = _scaled(p.b, c_p, chi0)
-    up = np.array([[up00, 0.0], [_scaled(p.b, c_fwd, chi0), 0.0]], dtype=complex)
-    down = np.array([[0.0, _scaled(p.a, c_back, chi0)], [0.0, down11]], dtype=complex)
-    ts_up = TwoState(_QUBIT, up, 0.0, big_t, float(t), boundary_overlap=up00)
-    ts_down = TwoState(_QUBIT, down, 0.0, big_t, float(t), boundary_overlap=down11)
-    return ts_up, ts_down
+    chis = _closed_form_chis(p, t)
+    return _reduced(p, chis, 1.0, 0.0, t), _reduced(p, chis, 0.0, 1.0, t)
 
 
 def effective_density_xy(p: SpinBathParams, t: float) -> Operator:
@@ -399,20 +407,17 @@ def system_kets(p: SpinBathParams) -> tuple[Ket, Optional[Ket]]:
 
 
 def env_kets(p: SpinBathParams) -> tuple[Ket, Ket]:
-    e1, e2 = _env_product_kets(p)
-    space = qubits(p.n)
-    return Ket(space, e1), Ket(space, e2)
+    """The bath's pre- and post-selected product kets, as held by ``p``."""
+    return p._env_kets
 
 
 def joint_conditions(p: SpinBathParams) -> tuple[Ket, Ket]:
     """Joint product boundary kets on the (n+1)-spin space."""
     if not p.has_system_post:
         raise ValueError("joint_conditions needs a system post-selection")
-    e1, e2 = _env_product_kets(p)
-    space = qubits(p.n + 1)
-    psi1 = np.kron(np.array([p.a, p.b]), e1)
-    psi2 = np.kron(np.array([p.a_post, p.b_post]), e2)
-    return Ket(space, psi1), Ket(space, psi2)
+    s1, s2 = system_kets(p)
+    e1, e2 = p._env_kets
+    return tensor(s1, e1), tensor(s2, e2)
 
 
 def weak_evolution_closed_form(p: SpinBathParams) -> Operator:

@@ -33,7 +33,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .detmath import cmul, hypot, join
-from .qcore import HilbertSpace, Ket, Operator, evolve, partial_trace, propagate
+from .qcore import HilbertSpace, Ket, Operator, partial_trace, propagate
 
 __all__ = [
     "FormalismError",
@@ -61,7 +61,9 @@ GENERIC_RTOL = 1e-9
 # boundary conditions with smaller overlap make conditioned probabilities undefined
 ORTHOGONAL_TOL = 1e-14
 
-# free environment overlap below this leaves the reduction normalization undefined
+# free environment conditions are orthogonal, and the reduction normalization and
+# weak values undefined, when |<e2|exp(-i h_e T)|e1>| <= ENV_OVERLAP_TOL |e1| |e2|:
+# relative to the kets, so that their scale does not matter
 ENV_OVERLAP_TOL = 1e-12
 
 PROJECTOR_TOL = 1e-10
@@ -342,6 +344,22 @@ def _split_env(space: HilbertSpace, env_space: HilbertSpace) -> tuple[int, ...]:
     return tuple(range(n - ne))
 
 
+def _free_overlap(h_e: Operator, big_t: float, e1: Ket, e2: Ket) -> complex:
+    """<e2| exp(-i h_e T) |e1>, the free environment overlap over T = ``big_t``.
+
+    Raises :class:`FormalismError` when the conditions are orthogonal,
+    judged relative to |e1| |e2| (``ENV_OVERLAP_TOL``).
+    """
+    if e1.space != e2.space or h_e.space != e1.space:
+        raise ValueError("environment kets and Hamiltonian must share one space")
+    if not h_e.is_hermitian():
+        raise ValueError("free environment Hamiltonian must be Hermitian within 1e-10")
+    overlap = complex(np.vdot(e2.amps, propagate(h_e, float(big_t), e1.amps)))
+    if abs(overlap) <= ENV_OVERLAP_TOL * e1.norm * e2.norm:
+        raise FormalismError("orthogonal free environment conditions: the overlap vanishes")
+    return overlap
+
+
 def reduce_over_environment(joint: TwoState, h_e: Operator, e1: Ket, e2: Ket) -> TwoState:
     """Trace the environment out of a joint two-state and normalize.
 
@@ -349,15 +367,8 @@ def reduce_over_environment(joint: TwoState, h_e: Operator, e1: Ket, e2: Ket) ->
     environment overlap; it is time independent, so the reduced two-state
     obeys the same dynamics as the unnormalized trace.
     """
-    if e1.space != e2.space or h_e.space != e1.space:
-        raise ValueError("environment kets and Hamiltonian must share one space")
+    n_amp = _free_overlap(h_e, joint.t2 - joint.t1, e1, e2)
     keep = _split_env(joint.space, e1.space)
-    big_t = joint.t2 - joint.t1
-    n_amp = complex(np.vdot(e2.amps, evolve(h_e, big_t, e1).amps))
-    if abs(n_amp) <= ENV_OVERLAP_TOL:
-        raise FormalismError(
-            "orthogonal free environment conditions: reduction normalization undefined"
-        )
     reduced = partial_trace(Operator(joint.space, joint.mat), keep).entries / n_amp
     overlap = None if joint.boundary_overlap is None else joint.boundary_overlap / n_amp
     sys_space = HilbertSpace(tuple(joint.space.factor_dims[i] for i in keep))
@@ -379,11 +390,9 @@ def weak_value(
     """
     if o.space != e1.space:
         raise ValueError("operator and environment kets live on different spaces")
-    rho_e0 = from_conditions(e1, e2, h_e, t1, t2, t1).mat
-    den = complex(np.trace(rho_e0))
-    if abs(den) <= ENV_OVERLAP_TOL:
-        raise FormalismError("orthogonal environment conditions: weak value undefined")
-    num = complex(np.trace(o.entries @ rho_e0))
+    big_t = float(t2) - float(t1)
+    den = _free_overlap(h_e, big_t, e1, e2)
+    num = complex(np.vdot(e2.amps, propagate(h_e, big_t, o.entries @ e1.amps)))
     return num / den
 
 
@@ -406,11 +415,9 @@ def weak_evolution_operator(
     de = e1.space.total_dim
     big_t = float(t2) - float(t1)
 
-    if not h_e.is_hermitian() or not h_tot.is_hermitian():
-        raise ValueError("Hamiltonians must be Hermitian within 1e-10")
-    den = complex(np.vdot(e2.amps, propagate(h_e, big_t, e1.amps)))
-    if abs(den) <= ENV_OVERLAP_TOL:
-        raise FormalismError("orthogonal free environment conditions")
+    if not h_tot.is_hermitian():
+        raise ValueError("joint Hamiltonian must be Hermitian within 1e-10")
+    den = _free_overlap(h_e, big_t, e1, e2)
 
     # column b is U(T) (|b> (x) |e1>); W_ab contracts its environment part with <e2|
     cols = propagate(h_tot, big_t, np.kron(np.eye(ds), e1.amps[:, None]))

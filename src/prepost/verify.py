@@ -8,7 +8,7 @@ reproduced directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -247,19 +247,11 @@ def verify_perturbative(seed: int, trials: int) -> VerifyReport:
         gamma /= gamma.sum()  # unit bath-operator scale keeps lam*T the true expansion parameter
         base = sb.random_params(rng, n, min_pair_overlap=0.3)
         lam = float(rng.uniform(0.02, 0.2))  # t_final = 1
+        l_env = Operator(qubits(n), np.diag(sb.env_energies(gamma)).astype(complex))
+        e1, e2 = sb.env_kets(base)  # the bath kets do not depend on the couplings
 
         def residual(lam_val):
-            p = sb.SpinBathParams(
-                n=n, g=lam_val * gamma, a=base.a, b=base.b,
-                alpha=base.alpha, beta=base.beta,
-                alpha_post=base.alpha_post, beta_post=base.beta_post,
-                t_final=1.0, a_post=base.a_post, b_post=base.b_post,
-            )
-            e1 = lv.product_env_ket([np.array([p.alpha[k], p.beta[k]]) for k in range(n)])
-            e2 = lv.product_env_ket(
-                [np.array([p.alpha_post[k], p.beta_post[k]]) for k in range(n)]
-            )
-            l_env = Operator(qubits(n), np.diag(sb.env_energies(gamma)).astype(complex))
+            p = replace(base, g=lam_val * gamma)
             spec = lv.continuous_interaction(
                 lam_val, [Operator(_QUBIT, SIGMA_Z)], [l_env], e1, e2, t_final=1.0
             )

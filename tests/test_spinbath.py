@@ -1,11 +1,14 @@
 """Solvable spin-bath model: closed forms against the brute-force oracle."""
 
+from dataclasses import replace
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prepost.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, qubits
+from prepost.qcore import SIGMA_X, SIGMA_Y, SIGMA_Z, Operator, ProductKet, qubits
 from prepost.twostate import (
     FormalismError,
     ProjectorSet,
@@ -75,6 +78,25 @@ def test_exact_matches_brute_force(seed, n):
         ex = sb.exact_reduced_two_state(p, t)
         bf = sb.brute_force_reduced(p, t)
         np.testing.assert_allclose(ex.mat, bf.mat, atol=1e-12)
+
+
+def test_brute_force_builds_env_amplitudes_once(monkeypatch):
+    built = []
+    build = ProductKet.amps.func
+
+    def counted(ket):
+        built.append(ket)
+        return build(ket)
+
+    amps = cached_property(counted)
+    amps.__set_name__(ProductKet, "amps")
+    monkeypatch.setattr(ProductKet, "amps", amps)
+    p = sb.random_params(np.random.default_rng(9), 6)
+    for t in np.linspace(0.0, p.t_final, 20):
+        sb.brute_force_reduced(p, t)
+    # one build per boundary ket (pre and post), none per call
+    assert len(built) == 2
+    assert set(map(id, built)) == set(map(id, sb.env_kets(p)))
 
 
 def test_brute_force_free_bath_is_static_generic():
@@ -155,6 +177,22 @@ def test_env_post_free_bath():
     up, down = sb.env_postselected_two_states(q, 0.4)
     np.testing.assert_allclose(up.mat, [[q.a, 0], [q.b, 0]], atol=1e-13)
     np.testing.assert_allclose(down.mat, [[0, q.a], [0, q.b]], atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_env_post_matches_brute_force(n):
+    # the environment-only pair is the reduced two-state at the system posts
+    # |up> and |down>, which the brute force computes from the joint kets
+    p = sb.random_params(np.random.default_rng(40 + n), n, system_post=False)
+    for t in np.linspace(0.0, p.t_final, 7):
+        pair = sb.env_postselected_two_states(p, t)
+        for ts, post, zero_col in zip(pair, ((1.0, 0.0), (0.0, 1.0)), (1, 0)):
+            brute = sb.brute_force_reduced(replace(p, a_post=post[0], b_post=post[1]), t).mat
+            scale = float(np.max(np.abs(brute)))
+            assert float(np.max(np.abs(ts.mat - brute))) <= 1e-11 * scale
+            col = ts.mat[:, zero_col]
+            assert np.all(col == 0)
+            assert not np.any(np.signbit(col.real)) and not np.any(np.signbit(col.imag))
 
 
 def test_env_post_midpoint_coherence_factor():

@@ -38,6 +38,7 @@ from prepost.twostate import (
     weak_evolution_operator,
     weak_value,
 )
+from prepost import liouville as lv
 from prepost import spinbath as sb
 
 QUBIT = qubits(1)
@@ -359,6 +360,48 @@ def test_weak_value_with_free_evolution():
     u = expm(-1j * h_e.entries * (t2 - t1))
     oracle = np.vdot(e2.amps, u @ o.entries @ e1.amps) / np.vdot(e2.amps, u @ e1.amps)
     assert weak_value(o, e1, e2, h_e, t1, t2) == pytest.approx(oracle)
+
+
+def test_weak_value_matches_continuous_moments():
+    # for an h_e that commutes with L the interaction-picture L is L itself,
+    # so the Liouville route's first weak moment is the weak value
+    rng = np.random.default_rng(30)
+    space = HilbertSpace((3,))
+    l_op = Operator(space, np.diag(rng.normal(size=3)))
+    h_e = Operator(space, np.diag(rng.normal(size=3)))
+    e1, e2 = random_ket(space, rng), random_ket(space, rng)
+    spec = lv.continuous_interaction(
+        0.1, [Operator(QUBIT, SIGMA_Z)], [l_op], e1, e2, h_e=h_e, t_final=0.9
+    )
+    expected = spec.moments().l_w[0]
+    assert weak_value(l_op, e1, e2, h_e, 0.0, 0.9) == pytest.approx(expected, rel=1e-12)
+
+
+def test_environment_rules_independent_of_the_kets_scale():
+    # orthogonality is judged relative to |e1||e2|: kets scaled by 1e-7 have a
+    # free overlap near 1e-14 yet the same reduced two-state and weak values
+    rng = np.random.default_rng(31)
+    sys_space, env_space, joint_space, s1, s2, e1, e2, psi1, psi2 = _random_product_joint(rng)
+    h = random_hermitian(joint_space, rng)
+    h_e = random_hermitian(env_space, rng)
+    o = random_hermitian(env_space, rng)
+    f1, f2 = Ket(env_space, 1e-7 * e1.amps), Ket(env_space, 1e-7 * e2.amps)
+
+    joint = from_conditions(psi1, psi2, h, 0.0, 1.0, 0.4)
+    small = from_conditions(tensor(s1, f1), tensor(s2, f2), h, 0.0, 1.0, 0.4)
+    np.testing.assert_allclose(
+        reduce_over_environment(small, h_e, f1, f2).mat,
+        reduce_over_environment(joint, h_e, e1, e2).mat,
+        rtol=1e-12,
+    )
+    assert weak_value(o, f1, f2, h_e, 0.0, 1.0) == pytest.approx(
+        weak_value(o, e1, e2, h_e, 0.0, 1.0), rel=1e-12
+    )
+    np.testing.assert_allclose(
+        weak_evolution_operator(h, h_e, f1, f2, 0.0, 1.0).entries,
+        weak_evolution_operator(h, h_e, e1, e2, 0.0, 1.0).entries,
+        rtol=1e-12,
+    )
 
 
 def test_weak_evolution_operator_free_case_identity():
