@@ -21,7 +21,7 @@ import numpy as np
 
 from . import liouville as lv
 from .detmath import cmul
-from .qcore import SIGMA_Z, HilbertSpace, Ket, Operator, qubits
+from .qcore import HERMITIAN_TOL, SIGMA_Z, HilbertSpace, Ket, Operator, qubits
 from .spinbath import NORM_TOL, SpinBathParams
 from .twostate import TwoState
 
@@ -103,8 +103,8 @@ def _unit_cvector(x, path, length) -> np.ndarray:
 
 
 def _hermitian(mat: np.ndarray, path):
-    if float(np.max(np.abs(mat - mat.conj().T))) > 1e-10:
-        raise ConfigError(f"config field '{path}' must be Hermitian within 1e-10")
+    if float(np.max(np.abs(mat - mat.conj().T))) > HERMITIAN_TOL:
+        raise ConfigError(f"config field '{path}' must be Hermitian within {HERMITIAN_TOL:g}")
 
 
 @dataclass(eq=False)
@@ -166,7 +166,7 @@ def _initial_two_state(d, block: str, t_final: float) -> TwoState:
     pre = _unit_cvector(d["system_pre"], f"{block}.system_pre", 2)
     post = _unit_cvector(d["system_post"], f"{block}.system_post", 2)
     mat = np.array([[cmul(u, complex(v).conjugate()) for v in post] for u in pre])
-    return TwoState(_QUBIT, mat, 0.0, t_final, 0.0, boundary_overlap=complex(np.vdot(post, pre)))
+    return TwoState(_QUBIT, mat, 0.0, t_final, 0.0)
 
 
 def _parse_spinbath(d, scenario, t2) -> SpinBathParams:

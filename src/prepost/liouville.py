@@ -91,8 +91,11 @@ from .detmath import (
     split_matvec,
     split_vdots,
 )
-from .qcore import DIAGONAL_TOL, SIGMA_Z, HilbertSpace, Ket, Operator, ProductKet, propagate
-from .twostate import ENV_OVERLAP_TOL, FormalismError, TwoState, purity
+from .qcore import (
+    DIAGONAL_TOL, HERMITIAN_TOL, SIGMA_Z, HilbertSpace, Ket, Operator, ProductKet, propagate, qubits,
+    require_hermitian,
+)
+from .twostate import OVERLAP_TOL, FormalismError, TwoState, purity
 
 __all__ = [
     "ContinuousSpec",
@@ -107,7 +110,6 @@ __all__ = [
     "closed_form_spin",
 ]
 
-COMMUTATION_TOL = 1e-10
 # the fewest steps :func:`integrate` takes
 MIN_STEPS = 10
 
@@ -139,12 +141,12 @@ def _dense_moments(e_in: np.ndarray, e_out: np.ndarray, applied: list, backs) ->
 
     ``applied[j]`` is L_j e_in and ``backs`` yields L_i^dagger e_out in
     order; every dot is a real-split sum of fixed order. The conditions are
-    orthogonal when |<e_out|e_in>| <= ENV_OVERLAP_TOL |e_in| |e_out|, judged
+    orthogonal when |<e_out|e_in>| <= OVERLAP_TOL |e_in| |e_out|, judged
     relative to the kets so that their scale does not matter.
     """
     den, nout, *firsts = split_vdots(e_out, [e_in, e_out, *applied])
     (nin,) = split_vdots(e_in, [e_in])
-    if cabs(den) <= ENV_OVERLAP_TOL * math.sqrt(nin.real) * math.sqrt(nout.real):
+    if cabs(den) <= OVERLAP_TOL * math.sqrt(nin.real) * math.sqrt(nout.real):
         raise FormalismError("orthogonal environment conditions: weak moments undefined")
     l_w = np.array([cdiv(x, den) for x in firsts])
     second = np.array([[cdiv(x, den) for x in split_vdots(back, applied)] for back in backs])
@@ -358,14 +360,15 @@ class Trajectory:
 
     ``coherence`` (|rho_01| for a qubit, else the largest off-diagonal
     magnitude) covers every step; :class:`TwoState` objects (:meth:`state`,
-    ``states``) and the purity of rho rho† are built only on request.
+    ``states``) and the purity of rho rho† are built only on request. Every
+    matrix has, to rounding, the initial two-state's trace, its boundary
+    overlap, which the equation's commutators conserve.
     """
 
     times: np.ndarray
     mats: np.ndarray
     space: HilbertSpace
     t_final: float
-    boundary_overlap: Optional[complex]
     coherence: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -375,10 +378,7 @@ class Trajectory:
 
     def state(self, i: int) -> TwoState:
         """The two-state at step i."""
-        return TwoState(
-            self.space, self.mats[i], 0.0, self.t_final, float(self.times[i]),
-            boundary_overlap=self.boundary_overlap,
-        )
+        return TwoState(self.space, self.mats[i], 0.0, self.t_final, float(self.times[i]))
 
     @cached_property
     def states(self) -> list:
@@ -426,11 +426,10 @@ def continuous_interaction(
             raise ValueError(
                 "free environment Hamiltonian must live on the coupling operators' space"
             )
-        if not h_e.is_hermitian():
-            raise ValueError("free environment Hamiltonian must be Hermitian within 1e-10")
+        require_hermitian(h_e, "free environment Hamiltonian")
         for i, l in enumerate(l_ops):
             comm = h_e.entries @ l.entries - l.entries @ h_e.entries
-            if float(np.max(np.abs(comm))) > COMMUTATION_TOL:
+            if float(np.max(np.abs(comm))) > HERMITIAN_TOL:
                 raise ValueError(
                     f"free environment Hamiltonian does not commute with coupling operator {i}"
                 )
@@ -506,8 +505,7 @@ def burst_interaction(
     sys_arr = np.asarray(SIGMA_Z if sys_op is None else sys_op, dtype=complex)
     if sys_arr.shape != (2, 2):
         raise ValueError("burst system operator must be 2x2")
-    if float(np.max(np.abs(sys_arr - sys_arr.conj().T))) > COMMUTATION_TOL:
-        raise ValueError("burst system operator must be Hermitian")
+    require_hermitian(Operator(qubits(1), sys_arr), "burst system operator")
     return BurstSpec(
         lam=float(lam), tau=float(tau), sys_op=sys_arr, particle_ops=ops, env_in=e1, env_out=e2
     )
@@ -624,7 +622,7 @@ def integrate(rs0: TwoState, spec: ContinuousSpec | BurstSpec, steps: int = 2000
                 y = ys[i]
                 np.add(y, split_matvec(inc, y), out=ys[i + 1])
                 i += 1
-    return Trajectory(times, mats, rs0.space, spec.t_final, rs0.boundary_overlap)
+    return Trajectory(times, mats, rs0.space, spec.t_final)
 
 
 def closed_form_spin(
@@ -649,4 +647,4 @@ def closed_form_spin(
     up = np.exp(-2j * lam * l_w * t) * envelope
     dn = np.exp(+2j * lam * l_w * t) * envelope
     mat = np.array([[m0[0, 0], m0[0, 1] * up], [m0[1, 0] * dn, m0[1, 1]]])
-    return TwoState(rs0.space, mat, 0.0, float(big_t), float(t), boundary_overlap=rs0.boundary_overlap)
+    return TwoState(rs0.space, mat, 0.0, float(big_t), float(t))

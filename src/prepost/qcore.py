@@ -41,6 +41,8 @@ __all__ = [
     "random_unitary",
 ]
 
+# the one tolerance of the matrix identities the package checks: Hermiticity,
+# projector algebra, commutation and basis orthonormality
 HERMITIAN_TOL = 1e-10
 
 # below this off-diagonal magnitude a generator is evolved by pure phases
@@ -167,6 +169,12 @@ class Operator:
         return float(np.max(np.abs(self.entries @ self.entries.conj().T - np.eye(d)))) <= tol
 
 
+def require_hermitian(op: Operator, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``op`` is Hermitian within ``HERMITIAN_TOL``."""
+    if not op.is_hermitian():
+        raise ValueError(f"{what} must be Hermitian within {HERMITIAN_TOL:g}")
+
+
 def basis_ket(space: HilbertSpace, index: int) -> Ket:
     if not 0 <= index < space.total_dim:
         raise ValueError(f"basis index {index} out of range for dimension {space.total_dim}")
@@ -254,8 +262,7 @@ def evolve(h: Operator, t: float, target: Union[Ket, Operator], side: str = "lef
     side="right"; both one-sided actions are exposed because the two slots of
     a two-state evolve with different time arguments.
     """
-    if not h.is_hermitian():
-        raise ValueError("evolution generator must be Hermitian within 1e-10")
+    require_hermitian(h, "evolution generator")
     t = float(t)
 
     if isinstance(target, Ket):

@@ -40,7 +40,7 @@ import numpy as np
 
 from .detmath import SINCOS_MAX_ARG, cdiv, cmul, sincos
 from .qcore import Ket, Operator, ProductKet, qubits, tensor
-from .twostate import ENV_OVERLAP_TOL, FormalismError, TwoState
+from .twostate import OVERLAP_TOL, FormalismError, TwoState
 
 __all__ = [
     "SpinBathParams",
@@ -136,7 +136,7 @@ class SpinBathParams:
         )
 
         # chi(0) = <e2|e1>, judged relative to |e1||e2| = sqrt(prod_k pre_k post_k)
-        if abs(self._chi0) <= ENV_OVERLAP_TOL * math.sqrt(float(np.prod(pre_norm * post_norm))):
+        if abs(self._chi0) <= OVERLAP_TOL * math.sqrt(float(np.prod(pre_norm * post_norm))):
             raise FormalismError(
                 "orthogonal free environment conditions: the reduction normalization vanishes"
             )
@@ -220,12 +220,11 @@ def _reduced(p: SpinBathParams, chis: tuple, a_post: complex, b_post: complex, t
     """
     chi0, c_p, c_m, c_back, c_fwd = chis
     a, b, a2, b2 = p.a, p.b, _conj(a_post), _conj(b_post)
-    m00 = _scaled(cmul(a, a2), c_m, chi0)
-    m11 = _scaled(cmul(b, b2), c_p, chi0)
     mat = np.array(
-        [[m00, _scaled(cmul(a, b2), c_back, chi0)], [_scaled(cmul(b, a2), c_fwd, chi0), m11]]
+        [[_scaled(cmul(a, a2), c_m, chi0), _scaled(cmul(a, b2), c_back, chi0)],
+         [_scaled(cmul(b, a2), c_fwd, chi0), _scaled(cmul(b, b2), c_p, chi0)]]
     )
-    return TwoState(_QUBIT, mat, 0.0, p.t_final, float(t), boundary_overlap=m00 + m11)
+    return TwoState(_QUBIT, mat, 0.0, p.t_final, float(t))
 
 
 def exact_reduced_two_state(p: SpinBathParams, t: float) -> TwoState:
@@ -273,10 +272,10 @@ def brute_force_reduced(p: SpinBathParams, t: float) -> TwoState:
         u[i] = s1[i] * np.exp(-1j * sgn * eps * t) * e1
         v[i] = s2[i] * np.exp(-1j * sgn * eps * (t - big_t)) * e2
     norm = complex(np.vdot(e2, e1))
-    if abs(norm) <= ENV_OVERLAP_TOL * np.linalg.norm(e1) * np.linalg.norm(e2):
+    if abs(norm) <= OVERLAP_TOL * np.linalg.norm(e1) * np.linalg.norm(e2):
         raise FormalismError("orthogonal free environment conditions")
     mat = (u @ v.conj().T) / norm
-    return TwoState(_QUBIT, mat, 0.0, big_t, float(t), boundary_overlap=complex(np.trace(mat)))
+    return TwoState(_QUBIT, mat, 0.0, big_t, float(t))
 
 
 def env_postselected_two_states(p: SpinBathParams, t: float) -> tuple[TwoState, TwoState]:

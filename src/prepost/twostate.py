@@ -12,6 +12,14 @@ slots; interaction with an environment drives it to higher rank at
 intermediate times, and the reduction over a pre- and post-selected
 environment forces it back to rank one at both boundaries.
 
+Its trace is the boundary overlap <psi_out|U(t2 - t1)|psi_in>, the same at
+every t (for a reduced two-state, the joint overlap over the free
+environment overlap); the modified Liouville equation conserves it, every
+term being a commutator. So no two-state carries a separate copy. One
+relative rule judges every overlap and every set of amplitudes: it vanishes
+when it is at most ``OVERLAP_TOL`` times the norms it is built from, so the
+scale of the kets never matters.
+
 Intermediate-time probabilities come from squared projections of the
 two-state onto measurement projectors, not from the Born rule; the Born rule
 is recovered when only the initial condition is imposed.
@@ -33,7 +41,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .detmath import cmul, hypot, join
-from .qcore import HilbertSpace, Ket, Operator, partial_trace, propagate
+from .qcore import HERMITIAN_TOL, HilbertSpace, Ket, Operator, partial_trace, propagate, require_hermitian
 
 __all__ = [
     "FormalismError",
@@ -58,17 +66,12 @@ __all__ = [
 # rank-one test: second singular value below this fraction of the first
 GENERIC_RTOL = 1e-9
 
-# boundary conditions with smaller overlap make conditioned probabilities undefined
-ORTHOGONAL_TOL = 1e-14
-
-# free environment conditions are orthogonal, and the reduction normalization and
-# weak values undefined, when |<e2|exp(-i h_e T)|e1>| <= ENV_OVERLAP_TOL |e1| |e2|:
-# relative to the kets, so that their scale does not matter
-ENV_OVERLAP_TOL = 1e-12
-
-PROJECTOR_TOL = 1e-10
-
-_AMPLITUDE_FLOOR = 1e-24
+# an overlap vanishes when it is at most OVERLAP_TOL times the norms it is built
+# from: |tr rho| <= OVERLAP_TOL ||rho||_F for a two-state's boundary overlap,
+# |<e2|exp(-i h_e T)|e1>| <= OVERLAP_TOL |e1| |e2| for free environment
+# conditions, and a two-state's projector amplitudes likewise; relative, so
+# that the scale of the kets does not matter
+OVERLAP_TOL = 1e-12
 
 
 class FormalismError(Exception):
@@ -80,10 +83,10 @@ class TwoState:
     """Operator-valued state with independent boundary conditions.
 
     ``mat`` is the (generally non-Hermitian) operator at the current time
-    ``t``, with ``t1 <= t <= t2``. ``boundary_overlap`` records the
-    in/out overlap amplitude when the constructor knows it; probability
-    queries on two-states flagged with a vanishing overlap fail loudly
-    instead of returning ill-defined numbers.
+    ``t``, with ``t1 <= t <= t2``. Its trace is the boundary overlap;
+    conditioned probability queries on a two-state whose overlap vanishes
+    (:meth:`is_flagged_orthogonal`) fail loudly instead of returning
+    ill-defined numbers.
     """
 
     space: HilbertSpace
@@ -91,7 +94,6 @@ class TwoState:
     t1: float
     t2: float
     t: float
-    boundary_overlap: Optional[complex] = None
 
     def __post_init__(self):
         m = np.array(self.mat, dtype=complex)
@@ -117,7 +119,8 @@ class TwoState:
         return self.t2 - self.t1
 
     def is_flagged_orthogonal(self) -> bool:
-        return self.boundary_overlap is not None and abs(self.boundary_overlap) < ORTHOGONAL_TOL
+        """The boundary overlap vanishes: |tr rho| <= OVERLAP_TOL ||rho||_F."""
+        return abs(self.trace) <= OVERLAP_TOL * float(np.linalg.norm(self.mat))
 
 
 def _entries2(m) -> tuple[complex, complex, complex, complex]:
@@ -195,24 +198,23 @@ def from_conditions(
 
     The left slot is U(t-t1)|psi_in>, the right slot the final condition
     evolved backward, <psi_out|U(t2-t). Orthogonal boundary conditions
-    (|<psi_out|U(t2-t1)|psi_in>| < 1e-14) still construct, but the result is
-    flagged and conditioned probability queries on it raise. The matrix is
+    (|<psi_out|U(t2-t1)|psi_in>| <= 1e-12 |psi_in| |psi_out|, the trace of
+    the result against its norm) still construct, but the result is flagged
+    and conditioned probability queries on it raise. The matrix is
     the outer product of the slots taken in real parts, with no complex
     multiply, so only the phases exp(-i h t) of a nonzero ``h`` can change
     its last bits between machines.
     """
     if psi_in.space != psi_out.space or psi_in.space != h.space:
         raise ValueError("boundary kets and Hamiltonian must share one space")
-    if not h.is_hermitian():
-        raise ValueError("Hamiltonian must be Hermitian within 1e-10")
+    require_hermitian(h, "Hamiltonian")
     left = propagate(h, t - t1, psi_in.amps)
     right = propagate(h, t - t2, psi_out.amps)
-    overlap = complex(np.vdot(psi_out.amps, propagate(h, t2 - t1, psi_in.amps)))
     mat = join(
         np.multiply.outer(left.real, right.real) + np.multiply.outer(left.imag, right.imag),
         np.multiply.outer(left.imag, right.real) - np.multiply.outer(left.real, right.imag),
     )
-    return TwoState(psi_in.space, mat, float(t1), float(t2), float(t), boundary_overlap=overlap)
+    return TwoState(psi_in.space, mat, float(t1), float(t2), float(t))
 
 
 @dataclass(eq=False)
@@ -231,18 +233,17 @@ class ProjectorSet:
         for lab, p in zip(self.labels, self.projectors):
             if p.space != space:
                 raise ValueError("all projectors must share one space")
+            require_hermitian(p, f"projector {lab!r}")
             e = p.entries
-            if float(np.max(np.abs(e - e.conj().T))) > PROJECTOR_TOL:
-                raise ValueError(f"projector {lab!r} is not Hermitian within 1e-10")
-            if float(np.max(np.abs(e @ e - e))) > PROJECTOR_TOL:
+            if float(np.max(np.abs(e @ e - e))) > HERMITIAN_TOL:
                 raise ValueError(f"projector {lab!r} is not idempotent within 1e-10")
             total += e
-        if float(np.max(np.abs(total - np.eye(d)))) > PROJECTOR_TOL:
+        if float(np.max(np.abs(total - np.eye(d)))) > HERMITIAN_TOL:
             raise ValueError("projectors do not sum to the identity within 1e-10")
         ps = list(self.projectors)
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
-                if float(np.max(np.abs(ps[i].entries @ ps[j].entries))) > PROJECTOR_TOL:
+                if float(np.max(np.abs(ps[i].entries @ ps[j].entries))) > HERMITIAN_TOL:
                     raise ValueError(
                         f"projectors {self.labels[i]!r} and {self.labels[j]!r} are not orthogonal"
                     )
@@ -270,8 +271,7 @@ class ProjectorSet:
         Eigenvalues closer than ``degeneracy_tol`` are merged into one
         projector.
         """
-        if not op.is_hermitian():
-            raise ValueError("observable must be Hermitian within 1e-10")
+        require_hermitian(op, "observable")
         vals, vecs = np.linalg.eigh(op.entries)
         labels = []
         projs = []
@@ -287,31 +287,35 @@ class ProjectorSet:
         return cls(tuple(labels), tuple(projs))
 
 
-def _require_queryable(ts: TwoState):
-    if ts.is_flagged_orthogonal():
-        raise FormalismError(
-            "orthogonal boundary conditions: conditioned probabilities are undefined"
-        )
+def _normalized(weights: dict, scale: float, what: str) -> dict:
+    """Squared amplitudes over their sum, raising when every amplitude vanishes:
+    sqrt(sum) <= OVERLAP_TOL * ``scale``, the Frobenius norm of the two-states read."""
+    total = sum(weights.values())
+    if math.sqrt(total) <= OVERLAP_TOL * scale:
+        raise FormalismError(f"{what}: every two-state amplitude vanishes")
+    return {lab: w / total for lab, w in weights.items()}
 
 
 def prob_pre_post(ts: TwoState, ps: ProjectorSet) -> dict:
     """Outcome distribution for a measurement between both conditions.
 
     Prob(a) = |<P_a, rho>|^2 / sum_a' |<P_a', rho>|^2, with <.,.> the trace
-    inner product. Invariant under rescaling of the two-state.
+    inner product. Invariant under rescaling of the two-state. Raises
+    :class:`FormalismError` when every amplitude vanishes (a forbidden
+    measurement) and, failing that, when the boundary overlap does.
     """
     if ps.space != ts.space:
         raise ValueError("projectors and two-state live on different spaces")
-    _require_queryable(ts)
-    weights = {}
-    for lab, p in zip(ps.labels, ps.projectors):
-        amp = complex(np.vdot(p.entries.ravel(), ts.mat.ravel()))
-        weights[lab] = abs(amp) ** 2
-    total = sum(weights.values())
-    scale = float(np.linalg.norm(ts.mat)) ** 2
-    if total <= _AMPLITUDE_FLOOR * max(1.0, scale**2):
-        raise FormalismError("forbidden intermediate measurement: every two-state amplitude vanishes")
-    return {lab: w / total for lab, w in weights.items()}
+    weights = {
+        lab: abs(complex(np.vdot(p.entries.ravel(), ts.mat.ravel()))) ** 2
+        for lab, p in zip(ps.labels, ps.projectors)
+    }
+    probs = _normalized(weights, float(np.linalg.norm(ts.mat)), "forbidden intermediate measurement")
+    if ts.is_flagged_orthogonal():
+        raise FormalismError(
+            "orthogonal boundary conditions: conditioned probabilities are undefined"
+        )
+    return probs
 
 
 def prob_pre_only(ts: TwoState, ps: ProjectorSet) -> dict:
@@ -333,29 +337,29 @@ def prob_pre_only(ts: TwoState, ps: ProjectorSet) -> dict:
     }
 
 
-def _split_env(space: HilbertSpace, env_space: HilbertSpace) -> tuple[int, ...]:
-    """System factor indices, with the environment as the trailing factors."""
+def _split_env(space: HilbertSpace, env_space: HilbertSpace) -> tuple[int, HilbertSpace]:
+    """Dimension and space of the system: the leading factors, the environment trailing."""
     n = space.n_factors
     ne = env_space.n_factors
     if ne >= n or space.factor_dims[n - ne :] != env_space.factor_dims:
         raise ValueError(
             f"environment dims {env_space.factor_dims} are not the trailing factors of {space.factor_dims}"
         )
-    return tuple(range(n - ne))
+    sys_space = HilbertSpace(space.factor_dims[: n - ne])
+    return sys_space.total_dim, sys_space
 
 
 def _free_overlap(h_e: Operator, big_t: float, e1: Ket, e2: Ket) -> complex:
     """<e2| exp(-i h_e T) |e1>, the free environment overlap over T = ``big_t``.
 
     Raises :class:`FormalismError` when the conditions are orthogonal,
-    judged relative to |e1| |e2| (``ENV_OVERLAP_TOL``).
+    judged relative to |e1| |e2| (``OVERLAP_TOL``).
     """
     if e1.space != e2.space or h_e.space != e1.space:
         raise ValueError("environment kets and Hamiltonian must share one space")
-    if not h_e.is_hermitian():
-        raise ValueError("free environment Hamiltonian must be Hermitian within 1e-10")
+    require_hermitian(h_e, "free environment Hamiltonian")
     overlap = complex(np.vdot(e2.amps, propagate(h_e, float(big_t), e1.amps)))
-    if abs(overlap) <= ENV_OVERLAP_TOL * e1.norm * e2.norm:
+    if abs(overlap) <= OVERLAP_TOL * e1.norm * e2.norm:
         raise FormalismError("orthogonal free environment conditions: the overlap vanishes")
     return overlap
 
@@ -368,11 +372,9 @@ def reduce_over_environment(joint: TwoState, h_e: Operator, e1: Ket, e2: Ket) ->
     obeys the same dynamics as the unnormalized trace.
     """
     n_amp = _free_overlap(h_e, joint.t2 - joint.t1, e1, e2)
-    keep = _split_env(joint.space, e1.space)
-    reduced = partial_trace(Operator(joint.space, joint.mat), keep).entries / n_amp
-    overlap = None if joint.boundary_overlap is None else joint.boundary_overlap / n_amp
-    sys_space = HilbertSpace(tuple(joint.space.factor_dims[i] for i in keep))
-    return TwoState(sys_space, reduced, joint.t1, joint.t2, joint.t, boundary_overlap=overlap)
+    _, sys_space = _split_env(joint.space, e1.space)
+    reduced = partial_trace(Operator(joint.space, joint.mat), range(sys_space.n_factors))
+    return TwoState(sys_space, reduced.entries / n_amp, joint.t1, joint.t2, joint.t)
 
 
 def weak_value(
@@ -410,20 +412,16 @@ def weak_evolution_operator(
     it maps the initial system condition onto the left slot of the reduced
     two-state at t2, and multiplies its right slot at t1.
     """
-    keep = _split_env(h_tot.space, e1.space)
-    ds = math.prod(h_tot.space.factor_dims[i] for i in keep)
+    ds, sys_space = _split_env(h_tot.space, e1.space)
     de = e1.space.total_dim
     big_t = float(t2) - float(t1)
 
-    if not h_tot.is_hermitian():
-        raise ValueError("joint Hamiltonian must be Hermitian within 1e-10")
+    require_hermitian(h_tot, "joint Hamiltonian")
     den = _free_overlap(h_e, big_t, e1, e2)
 
     # column b is U(T) (|b> (x) |e1>); W_ab contracts its environment part with <e2|
     cols = propagate(h_tot, big_t, np.kron(np.eye(ds), e1.amps[:, None]))
     num = np.einsum("m,amb->ab", np.conj(e2.amps), cols.reshape(ds, de, ds))
-
-    sys_space = HilbertSpace(tuple(h_tot.space.factor_dims[i] for i in keep))
     return Operator(sys_space, num / den)
 
 
@@ -532,33 +530,26 @@ def prob_env_post_only(
     |s2>. The result is independent of the complete basis {|s2>}, which is
     what makes the rule well defined.
     """
-    keep = _split_env(h_tot.space, e2.space)
-    ds = math.prod(h_tot.space.factor_dims[i] for i in keep)
+    ds, _ = _split_env(h_tot.space, e2.space)
     de = e2.space.total_dim
     if any(k.space.total_dim != ds for k in s2_basis) or len(s2_basis) != ds:
         raise ValueError("s2_basis must be a complete basis of the system factor")
     b = np.column_stack([k.amps for k in s2_basis])
-    if float(np.max(np.abs(b.conj().T @ b - np.eye(ds)))) > PROJECTOR_TOL:
+    if float(np.max(np.abs(b.conj().T @ b - np.eye(ds)))) > HERMITIAN_TOL:
         raise ValueError("s2_basis is not orthonormal/complete within 1e-10")
     if ps.space.total_dim != ds:
         raise ValueError("projectors must act on the system factor")
-    if not h_tot.is_hermitian():
-        raise ValueError("joint Hamiltonian must be Hermitian within 1e-10")
+    require_hermitian(h_tot, "joint Hamiltonian")
 
     # the reduction normalization is common to every s2 and cancels in the ratio
     u_left = propagate(h_tot, t - t1, psi_in.amps).reshape(ds, de)
-    outs = propagate(h_tot, t - t2, np.column_stack([np.kron(s2.amps, e2.amps) for s2 in s2_basis]))
-    weights = {lab: 0.0 for lab in ps.labels}
-    for v in outs.T:
-        reduced = u_left @ v.reshape(ds, de).conj().T
-        for lab, p in zip(ps.labels, ps.projectors):
-            amp = complex(np.vdot(p.entries.ravel(), reduced.ravel()))
-            weights[lab] += abs(amp) ** 2
-    total = sum(weights.values())
-    scale = float(np.linalg.norm(u_left)) ** 2
-    if total <= _AMPLITUDE_FLOOR * max(1.0, scale**2):
-        raise FormalismError("vanishing denominator: every two-state amplitude vanishes")
-    return {lab: w / total for lab, w in weights.items()}
+    # column j is U(t - t2) (|s2_j> (x) |e2>)
+    outs = propagate(h_tot, t - t2, np.kron(b, e2.amps[:, None])).reshape(ds, de, ds)
+    # reduced[j] = u_left v_j^dagger, v_j the system-by-environment matrix of column j
+    reduced = np.einsum("im,amj->jia", u_left, outs.conj())
+    amps = np.einsum("pia,jia->pj", np.array([p.entries for p in ps.projectors]).conj(), reduced)
+    weights = dict(zip(ps.labels, (np.abs(amps) ** 2).sum(axis=1).tolist()))
+    return _normalized(weights, float(np.linalg.norm(reduced)), "vanishing denominator")
 
 
 def purity(rho) -> float:

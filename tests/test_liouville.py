@@ -400,6 +400,34 @@ def test_trajectory_states_are_the_stored_matrices():
     np.testing.assert_array_equal(traj.coherence, np.abs(traj.mats[:, 0, 1]))
 
 
+def test_integrate_keeps_the_boundary_overlap():
+    # every term of both equations is a commutator, so tr rho, the boundary
+    # overlap, is the same at every step; an orthogonal start stays flagged
+    env = qubits(1)
+    channels = lv.continuous_interaction(
+        0.3,
+        [Operator(QUBIT, SIGMA_Z), Operator(QUBIT, SIGMA_X)],
+        [Operator(env, SIGMA_Z), Operator(env, SIGMA_X)],
+        Ket(env, np.array([0.8, 0.6])),
+        Ket(env, np.array([0.6, 0.8j])),
+        t_final=1.3,
+    )
+    space = qubits(2)
+    burst = lv.burst_interaction(
+        0.3, 0.3, [SIGMA_Z, SIGMA_Z], Ket(space, np.array([0.5, 0.5, 0.5, 0.5])),
+        Ket(space, np.array([0.6, 0.0, 0.0, 0.8j])), sys_op=SIGMA_X,
+    )
+    u = np.array([0.6, 0.8j])
+    orthogonal = TwoState(QUBIT, np.outer(u, np.array([0.8j, 0.6]).conj()), 0.0, 1.3, 0.0)
+    for spec in (channels, burst):
+        for rs0 in (_generic_initial(), orthogonal):
+            traj = lv.integrate(rs0, spec, steps=200)
+            traces = np.trace(traj.mats, axis1=1, axis2=2)
+            norms = np.linalg.norm(traj.mats, axis=(1, 2))
+            assert np.max(np.abs(traces - rs0.trace) / norms) <= 1e-13
+            assert traj.states[-1].is_flagged_orthogonal() == rs0.is_flagged_orthogonal()
+
+
 def test_integrate_step_halving_convergence():
     spec = _single_channel_spec(lam=0.1)
     rs0 = _generic_initial()

@@ -238,6 +238,18 @@ def test_forbidden_intermediate_measurement():
         prob_pre_post(ts, SZ_SET)
 
 
+def test_raw_and_constructed_orthogonal_two_states_share_one_verdict():
+    # the boundary overlap is the trace, so a raw |up><down| is flagged just as
+    # from_conditions is; sigma_x amplitudes do not vanish, the overlap does
+    ps_x = ProjectorSet.from_observable(Operator(QUBIT, SIGMA_X))
+    raw = TwoState(QUBIT, np.outer(UP.amps, DOWN.amps.conj()), 0.0, 1.0, 0.0)
+    built = from_conditions(UP, DOWN, zero_h(QUBIT), 0.0, 1.0, 0.0)
+    for ts in (raw, built):
+        assert ts.is_flagged_orthogonal()
+        with pytest.raises(FormalismError, match="orthogonal boundary conditions"):
+            prob_pre_post(ts, ps_x)
+
+
 # ---------------------------------------------------------------- reduction
 
 
@@ -552,6 +564,36 @@ def test_env_post_only_against_joint_space_oracle():
     total = sum(weights.values())
     for lab in probs:
         assert probs[lab] == pytest.approx(weights[lab] / total, abs=1e-11)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e5, 1e7])
+def test_conditioned_rules_independent_of_the_kets_scale(scale):
+    # every overlap and amplitude is judged relative to the norms it is built
+    # from, so scaled kets give the unit kets' distribution
+    rng = np.random.default_rng(41)
+    pin, pout = random_ket(QUBIT, rng), random_ket(QUBIT, rng)
+    h = random_hermitian(QUBIT, rng)
+    ps = ProjectorSet.from_basis([Ket(QUBIT, c) for c in random_unitary(2, rng).T])
+    unit = prob_pre_post(from_conditions(pin, pout, h, 0.0, 1.0, 0.3), ps)
+    scaled = prob_pre_post(
+        from_conditions(Ket(QUBIT, scale * pin.amps), Ket(QUBIT, scale * pout.amps), h, 0.0, 1.0, 0.3),
+        ps,
+    )
+    for lab in unit:
+        assert scaled[lab] == pytest.approx(unit[lab], abs=1e-12)
+
+    p = sb.random_params(rng, 3, system_post=False)
+    s1, _ = sb.system_kets(p)
+    e1, e2 = sb.env_kets(p)
+    psi_in = tensor(s1, e1)
+    h_joint = sb.joint_hamiltonian(p)
+    args = ([UP, DOWN], ps, 0.0, p.t_final, 0.4 * p.t_final)
+    unit = prob_env_post_only(psi_in, h_joint, e2, *args)
+    scaled = prob_env_post_only(
+        Ket(psi_in.space, scale * psi_in.amps), h_joint, Ket(e2.space, scale * e2.amps), *args
+    )
+    for lab in unit:
+        assert scaled[lab] == pytest.approx(unit[lab], abs=1e-12)
 
 
 # ---------------------------------------------------------------- diagnostics
