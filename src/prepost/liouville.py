@@ -2,15 +2,25 @@
 
 Tracing a weakly coupled, pre- and post-selected environment out of the
 Liouville equation gives, to second order in the coupling and in the free
-case (H_s = H_e = 0, interaction picture otherwise):
+case (H_s = H_e = 0, interaction picture otherwise), one scheduled equation:
 
-    d rho_s / dt = -i lam (L_i)_w [Q_i, rho_s]
-                   - lam^2 Delta_ij [Q_i, t Q_j rho_s + (T - t) rho_s Q_j]
+    d rho_s / dt = sum_i f_i [Q_i, rho_s]
+                   - sum_ij s_ij [Q_i, a_j(t) Q_j rho_s + b_j(t) rho_s Q_j]
 
-with summation over repeated indices, (.)_w the weak value with respect to
-the free environment two-state and Delta_ij = (L_i L_j)_w - (L_i)_w (L_j)_w
-the weak uncertainty. The time-dependent weights t and T - t are what force
-an initially rank-one two-state back to rank one at t = T.
+with f_i = -i lam (L_i)_w, s_ij = lam^2 Delta_ij, (.)_w the weak value with
+respect to the free environment two-state, Delta_ij = (L_i L_j)_w -
+(L_i)_w (L_j)_w the weak uncertainty, and a_j(t), b_j(t) the time for which
+coupling channel j is switched on before and after t. A continuous coupling
+(:class:`ContinuousSpec`) keeps every channel on over [0, T], so a = t and
+b = T - t: these weights force an initially rank-one two-state back to rank
+one at t = T. A burst schedule (:class:`BurstSpec`) couples the system,
+through one operator S, to environment particle n during the window
+[n tau, (n+1) tau). In window n the particle's own channel has
+a = t - n tau and b = (n+1) tau - t, its past partners m < n have a = tau
+and b = 0, and its future partners a = 0 and b = tau. For product
+environment conditions the cross-correlations Delta_nm (n != m) vanish,
+and for S S = 1 each window's second-order contribution integrates to
+zero, so the two-state returns to rank one at every window boundary.
 
 For the single channel Q = sigma_z the equation solves in closed form: the
 diagonal entries are constants and the coherences evolve as
@@ -20,52 +30,42 @@ diagonal entries are constants and the coherences evolve as
 with the opposite first-order sign on rho_du. Complex moments are allowed;
 the coherence magnitude then follows the real part of the exponent only.
 
-The burst variant couples the system, through one operator S, to
-environment particle n during the window [n tau, (n+1) tau), where
+Product kets (:func:`product_env_ket`) keep their per-particle factors, so
+their burst moments are one-particle quantities computed in O(n), with
+cross-correlations exactly zero and no 2^n amplitudes built; baths of many
+tens of particles are cheap. Correlated environment conditions (plain kets)
+take the dense O(n^2 2^n) route, which is also the oracle for the product
+route. They are integrated as written but have no exact oracle for the
+dynamics here and should be treated as unverified.
 
-    d rho_s / dt = -i lam (L_n)_w [S, rho_s] - lam^2 sum_m Delta_nm [S, x_m]
+Each spec owns its weak moments and its weak-coupling parameter, and lists
+the entries (f_i, Q_i) and (s_ij, Q_i, Q_j, a_j, b_j) of each window: one
+for a continuous coupling, one per particle for a burst. One compiler turns
+a window's entries into real matrices (G0, G1) on vec(rho), with
+d vec(rho)/dt = (G0 + t G1) vec(rho) there, since a and b are affine in t
+within a window. vec(rho) holds rho's entries in row-major order with real
+and imaginary parts interleaved, so each complex superoperator entry becomes
+a real 2x2 block. :func:`integrate` steps every window with classical RK4
+through increment maps: for a block of steps it builds each step's
+D_k = P_k - I at once (RK4 applied to the identity, batched over the
+block's step times) and advances y_{k+1} = y_k + D_k y_k. The weak moments,
+the compiled generators, the increment maps and the steps use real
+arithmetic of fixed order (:mod:`prepost.detmath`), so complex environment
+conditions give the same bits on every machine. A diagonal free environment
+Hamiltonian h_e enters through its phases exp(i h_kk T), taken from the
+same fixed-order sine and cosine. A non-diagonal h_e is the one exception:
+it is diagonalized by LAPACK and its phases come from numpy's complex
+``exp``, either of which may differ in the last bit between machines.
 
-with x_m = tau S rho_s for past partners (m < n), tau rho_s S for future
-partners (m > n) and (t - n tau) S rho_s + ((n+1) tau - t) rho_s S for
-m = n. For product environment conditions the cross-correlations
-Delta_nm (n != m) vanish, and for S S = 1 each window's second-order
-contribution integrates to zero, so the two-state returns to rank one at
-every window boundary. Product kets (:func:`product_env_ket`) keep their per-particle
-factors, so their burst moments are one-particle quantities computed in
-O(n), with cross-correlations exactly zero and no 2^n amplitudes built;
-baths of many tens of particles are cheap. Correlated environment
-conditions (plain kets) take the dense O(n^2 2^n) route, which is also the
-oracle for the product route. They are integrated as written but have no
-exact oracle for the dynamics here and should be treated as unverified.
-
-:class:`ContinuousSpec` (one window [0, T]) and :class:`BurstSpec` (one
-window per particle) each own their weak moments and their weak-coupling
-parameter, and compile each window once into a pair of real matrices
-(G0, G1) on vec(rho), so that d vec(rho)/dt = (G0 + t G1) vec(rho) within
-the window: both equations are linear in rho with weights affine in t.
-vec(rho) holds rho's entries in row-major order with real and imaginary
-parts interleaved, so each complex superoperator entry becomes a real 2x2
-block. :func:`integrate` steps every window with classical RK4 through
-increment maps: for a block of steps it builds each step's D_k = P_k - I at
-once (RK4 applied to the identity, batched over the block's step times) and
-advances y_{k+1} = y_k + D_k y_k. The weak moments, the compiled generators,
-the increment maps and the steps use real arithmetic of fixed order
-(:mod:`prepost.detmath`), so complex environment conditions give the same
-bits on every machine. A diagonal free environment Hamiltonian h_e enters
-through its phases exp(i h_kk T), taken from the same fixed-order sine and
-cosine. A non-diagonal h_e is the one exception: it is diagonalized by
-LAPACK and its phases come from numpy's complex ``exp``, either of which
-may differ in the last bit between machines.
-
-The compiled generators are the only form of either equation in the
-package. The tests check them, and the stepping, against an independent
-transcription: the equations above written out with commutators in plain
-complex arithmetic, and classical RK4 on that transcription, window by
-window, for several channels, a qutrit system and correlated bursts. This
+The compiled generators are the only form of the equation in the package.
+The tests check them, and the stepping, against an independent
+transcription: both schedules written out with commutators in plain complex
+arithmetic, and classical RK4 on that transcription, window by window, for
+several channels, a qutrit system and correlated bursts; and a one-particle
+burst against the continuous coupling over [0, tau], to the bit. This
 catches a wrongly compiled generator or a stepping error, not a wrong
-equation. The equation itself is checked against an exact model only for
-the single sigma_z channel (:func:`closed_form_spin` against the spin
-bath).
+equation, which is checked against an exact model only for the single
+sigma_z channel (:func:`closed_form_spin` against the spin bath).
 """
 
 from __future__ import annotations
@@ -185,6 +185,38 @@ def _superop(terms: list, d: int) -> np.ndarray:
     return csplit(join(re, im).transpose(0, 3, 1, 2).reshape(d * d, d * d))
 
 
+def _compile(first: list, second: list) -> tuple:
+    """(G0, G1) of one window: d vec(rho)/dt = (G0 + t G1) vec(rho) for
+
+        d rho/dt = sum_i f_i [Q_i, rho] - sum_ij s_ij [Q_i, a_j(t) Q_j rho + b_j(t) rho Q_j],
+
+    ``first`` listing the entries (f_i, Q_i) and ``second`` the entries
+    (s_ij, Q_i, Q_j, a_j, b_j), with a_j and b_j pairs (c, k) for c + k t.
+    Each second-order entry expands to -a s Q_i Q_j rho + a s Q_j rho Q_i
+    - b s Q_i rho Q_j + b s rho Q_j Q_i; one whose s is exactly zero is
+    skipped. When Q_i is Q_j (the same object), Q Q is formed once and the
+    two Q rho Q terms are one, of weight (a - b) s.
+    """
+    d = first[0][1].shape[0]
+    one = np.eye(d, dtype=complex)
+    const, slope = [], []
+    for f, q in first:
+        const += [(f, q, one), (-f, one, q)]
+    for s, qi, qj, a, b in second:
+        if s == 0:
+            continue
+        same = qi is qj
+        qij = cmatmul(qi, qj)
+        qji = qij if same else cmatmul(qj, qi)
+        for terms, ak, bk in ((const, a[0], b[0]), (slope, a[1], b[1])):
+            if same:
+                mid = [(_rscale(ak - bk, s), qi, qi)]
+            else:
+                mid = [(_rscale(ak, s), qj, qi), (_rscale(-bk, s), qi, qj)]
+            terms += [(_rscale(-ak, s), qij, one), *mid, (_rscale(bk, s), one, qji)]
+    return _superop(const, d), _superop(slope, d)
+
+
 def _vec(rs_mat: np.ndarray) -> np.ndarray:
     """vec(rho): the entries in row-major order, real and imaginary parts interleaved."""
     return np.ascontiguousarray(rs_mat, dtype=complex).reshape(-1).view(np.float64)
@@ -224,32 +256,16 @@ class ContinuousSpec:
         return _dense_moments(e_in, e_out, applied, backs)
 
     def generators(self, moments: WeakMoments) -> tuple:
-        """(G0, G1) of [0, T]: d vec(rho)/dt = (G0 + t G1) vec(rho).
-
-        Expanding the commutators of the equation gives, with
-        f_i = -i lam (L_i)_w and s_ij = lam^2 Delta_ij,
-
-            G0:  f_i (Q_i rho - rho Q_i) - T s_ij (Q_i rho Q_j - rho Q_j Q_i)
-            G1: -s_ij (Q_i Q_j rho - Q_j rho Q_i + rho Q_j Q_i - Q_i rho Q_j)
-        """
-        lam, big_t = self.lam, self.t_final
-        lam2 = lam * lam
+        """(G0, G1) of [0, T]: every channel is on throughout, so a = t and b = T - t."""
+        lam2 = self.lam * self.lam
         qs = [q.entries for q in self.q_ops]
-        d = qs[0].shape[0]
-        one = np.eye(d, dtype=complex)
-        const, slope = [], []
-        for i, qi in enumerate(qs):
-            lw = complex(moments.l_w[i])
-            f = complex(lam * lw.imag, -(lam * lw.real))
-            const += [(f, qi, one), (-f, one, qi)]
-        for i, qi in enumerate(qs):
-            for j, qj in enumerate(qs):
-                s = _rscale(lam2, complex(moments.delta[i, j]))
-                ts = _rscale(big_t, s)
-                qji = cmatmul(qj, qi)
-                const += [(-ts, qi, qj), (ts, one, qji)]
-                slope += [(-s, cmatmul(qi, qj), one), (s, qj, qi), (s, qi, qj), (-s, one, qji)]
-        return _superop(const, d), _superop(slope, d)
+        first = [(_rscale(self.lam, complex(lw.imag, -lw.real)), q) for lw, q in zip(moments.l_w, qs)]
+        second = [
+            (_rscale(lam2, complex(moments.delta[i, j])), qi, qj, (0.0, 1.0), (self.t_final, -1.0))
+            for i, qi in enumerate(qs)
+            for j, qj in enumerate(qs)
+        ]
+        return _compile(first, second)
 
     def windows(self, moments: WeakMoments, steps: int) -> list:
         """(t0, h, steps, (G0, G1)) of each smooth stretch of [0, T]: here one."""
@@ -307,42 +323,22 @@ class BurstSpec:
         return _dense_moments(e1, e2, applied, backs)
 
     def generators(self, moments: WeakMoments, window: int) -> tuple:
-        """(G0, G1) of one burst window: d vec(rho)/dt = (G0 + t G1) vec(rho).
+        """(G0, G1) of burst window n.
 
-        With S the system operator, expanding the window's commutators gives
-
-            f (S rho - rho S) - P (S S rho - S rho S) - F (S rho S - rho S S)
-            - D ((t - n tau) (S S rho - S rho S) + ((n+1) tau - t) (S rho S - rho S S)),
-
-        f = -i lam (L_n)_w and D = lam^2 Delta_nn; P and F are lam^2 tau
-        times the sums of Delta_nm over past and future partners m, each of
-        which met the system for one window of duration tau. P and F are
-        exactly zero for product conditions, and in the first (no past) and
-        last (no future) windows. For S S = 1 (sigma_x, sigma_z) the D term is
-        -D (2t - (2n+1) tau) (rho - S rho S), zero at the window midpoint.
+        Particle n's own channel has a = t - n tau and b = (n+1) tau - t; its
+        past partners, summed, have a = tau and b = 0, and its future partners
+        a = 0 and b = tau. The partner sums are exactly zero for product
+        conditions.
         """
-        tau, lam = self.tau, self.lam
-        lam2 = lam * lam
-        sig = self.sys_op
-        one = np.eye(2, dtype=complex)
-        sig2 = cmatmul(sig, sig)
-        lw = complex(moments.l_w[window])
-        first = complex(lam * lw.imag, -(lam * lw.real))
-        diag = _rscale(lam2, complex(moments.delta[window, window]))
-        dmid = _rscale((2 * window + 1) * tau, diag)
-        dpast = _rscale(window * tau, diag)
-        dnext = _rscale((window + 1) * tau, diag)
-        row = moments.delta[window]
-        past = _rscale(tau, _rscale(lam2, _fsum(row[:window])))
-        future = _rscale(tau, _rscale(lam2, _fsum(row[window + 1 :])))
-        const = [
-            (first, sig, one), (-first, one, sig),
-            (dpast, sig2, one), (-dmid, sig, sig), (dnext, one, sig2),
-            (-past, sig2, one), (past, sig, sig),
-            (-future, sig, sig), (future, one, sig2),
+        n, tau, s = window, self.tau, self.sys_op
+        lam2 = self.lam * self.lam
+        lw, row = moments.l_w[n], moments.delta[n]
+        second = [
+            (_rscale(lam2, complex(row[n])), s, s, (-(n * tau), 1.0), ((n + 1) * tau, -1.0)),
+            (_rscale(lam2, _fsum(row[:n])), s, s, (tau, 0.0), (0.0, 0.0)),
+            (_rscale(lam2, _fsum(row[n + 1 :])), s, s, (0.0, 0.0), (tau, 0.0)),
         ]
-        slope = [(-diag, sig2, one), (2.0 * diag, sig, sig), (-diag, one, sig2)]
-        return _superop(const, 2), _superop(slope, 2)
+        return _compile([(_rscale(self.lam, complex(lw.imag, -lw.real)), s)], second)
 
     def windows(self, moments: WeakMoments, steps: int) -> list:
         """(t0, h, steps, (G0, G1)) of each window, with about steps/n steps each."""
@@ -607,6 +603,9 @@ def integrate(rs0: TwoState, spec: ContinuousSpec | BurstSpec, steps: int = 2000
         )
 
     windows = spec.windows(weak_moments(spec), steps)
+    d = math.isqrt(windows[0][3][0].shape[0] // 2)  # G0 acts on the 2 d^2 reals of vec(rho)
+    if rs0.mat.shape != (d, d):
+        raise ValueError(f"initial two-state dimension {rs0.space.total_dim} != system dimension {d}")
     total = sum(n for _, _, n, _ in windows)
     times = np.empty(total + 1)
     mats = np.empty((total + 1,) + rs0.mat.shape, dtype=complex)

@@ -105,7 +105,7 @@ class TwoState:
         slack = 1e-9 * max(1.0, self.t2 - self.t1)
         if not (self.t1 - slack <= self.t <= self.t2 + slack):
             raise ValueError(f"current time {self.t} outside [{self.t1}, {self.t2}]")
-        if float(np.linalg.norm(m)) == 0.0:
+        if not np.count_nonzero(m):
             raise FormalismError("two-state matrix is zero: boundary conditions are inconsistent")
         m.setflags(write=False)
         self.mat = m
@@ -120,12 +120,24 @@ class TwoState:
 
     def is_flagged_orthogonal(self) -> bool:
         """The boundary overlap vanishes: |tr rho| <= OVERLAP_TOL ||rho||_F."""
-        return abs(self.trace) <= OVERLAP_TOL * float(np.linalg.norm(self.mat))
+        m, _ = _unit_scaled(self.mat)
+        return abs(complex(np.trace(m))) <= OVERLAP_TOL * float(np.linalg.norm(m))
 
 
 def _entries2(m) -> tuple[complex, complex, complex, complex]:
     (a, b), (c, d) = np.asarray(m).tolist()
     return complex(a), complex(b), complex(c), complex(d)
+
+
+def _unit_scaled(m) -> tuple[np.ndarray, int]:
+    """(m 2^-e, e), e putting m's largest real or imaginary part in [1/2, 1).
+
+    The scaling is exact: squares and norms of the result neither over- nor
+    underflow, and ratios of them keep the bits they have at unit scale.
+    """
+    parts = np.ascontiguousarray(m, dtype=complex).view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]  # 0 for 0, inf and nan
+    return (np.ldexp(parts, -e) if e else parts).view(complex), e
 
 
 def _singular_values_2x2(m) -> tuple[float, float]:
@@ -134,18 +146,17 @@ def _singular_values_2x2(m) -> tuple[float, float]:
     s1^2 = (tr H + sqrt((h11 - h22)^2 + 4|h12|^2)) / 2, the discriminant
     tr(H)^2 - 4 det(H) = ||M||_F^4 - 4|det M|^2 written as a sum of squares so
     it never cancels, and s2 = |det M| / s1. The entries are first scaled by a
-    power of two so the largest is in [1/2, 1): no square under- or
-    overflows. Both values have absolute error of a few ulp of s1, as LAPACK's.
+    power of two (:func:`_unit_scaled`) so the largest is in [1/2, 1): no
+    square under- or overflows. Both values have absolute error of a few ulp
+    of s1, as LAPACK's.
     """
-    a, b, c, d = _entries2(m)
-    parts = (a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag)
-    big = max(abs(x) for x in parts)
+    scaled, e = _unit_scaled(m)
+    ar, ai, br, bi, cr, ci, dr, di = parts = scaled.view(np.float64).ravel().tolist()
+    big = max(map(abs, parts))
     if big == 0.0:
         return 0.0, 0.0
     if not math.isfinite(big):
         raise ValueError("singular values of a matrix with non-finite entries")
-    e = math.frexp(big)[1]
-    ar, ai, br, bi, cr, ci, dr, di = (math.ldexp(x, -e) for x in parts)
     h11 = (ar * ar + ai * ai) + (cr * cr + ci * ci)
     h22 = (br * br + bi * bi) + (dr * dr + di * di)
     h12r = (ar * br + ai * bi) + (cr * dr + ci * di)
@@ -306,11 +317,12 @@ def prob_pre_post(ts: TwoState, ps: ProjectorSet) -> dict:
     """
     if ps.space != ts.space:
         raise ValueError("projectors and two-state live on different spaces")
+    m, _ = _unit_scaled(ts.mat)
     weights = {
-        lab: abs(complex(np.vdot(p.entries.ravel(), ts.mat.ravel()))) ** 2
+        lab: abs(complex(np.vdot(p.entries.ravel(), m.ravel()))) ** 2
         for lab, p in zip(ps.labels, ps.projectors)
     }
-    probs = _normalized(weights, float(np.linalg.norm(ts.mat)), "forbidden intermediate measurement")
+    probs = _normalized(weights, float(np.linalg.norm(m)), "forbidden intermediate measurement")
     if ts.is_flagged_orthogonal():
         raise FormalismError(
             "orthogonal boundary conditions: conditioned probabilities are undefined"
@@ -327,7 +339,8 @@ def prob_pre_only(ts: TwoState, ps: ProjectorSet) -> dict:
     """
     if ps.space != ts.space:
         raise ValueError("projectors and two-state live on different spaces")
-    rho_in = ts.mat @ ts.mat.conj().T
+    m, _ = _unit_scaled(ts.mat)
+    rho_in = m @ m.conj().T
     norm = float(np.real(np.trace(rho_in)))
     if norm <= 0.0:
         raise FormalismError("zero-norm two-state")
@@ -546,7 +559,7 @@ def prob_env_post_only(
     # column j is U(t - t2) (|s2_j> (x) |e2>)
     outs = propagate(h_tot, t - t2, np.kron(b, e2.amps[:, None])).reshape(ds, de, ds)
     # reduced[j] = u_left v_j^dagger, v_j the system-by-environment matrix of column j
-    reduced = np.einsum("im,amj->jia", u_left, outs.conj())
+    reduced, _ = _unit_scaled(np.einsum("im,amj->jia", u_left, outs.conj()))
     amps = np.einsum("pia,jia->pj", np.array([p.entries for p in ps.projectors]).conj(), reduced)
     weights = dict(zip(ps.labels, (np.abs(amps) ** 2).sum(axis=1).tolist()))
     return _normalized(weights, float(np.linalg.norm(reduced)), "vanishing denominator")

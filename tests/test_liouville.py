@@ -442,6 +442,19 @@ def test_integrate_rejects_tiny_step_count():
         lv.integrate(_generic_initial(), spec, steps=5)
 
 
+def test_integrate_rejects_a_two_state_off_the_system_space():
+    # a qutrit two-state against qubit specs: the error names both dimensions
+    sys3 = HilbertSpace((3,))
+    rs0 = TwoState(sys3, np.outer(np.ones(3), np.ones(3)), 0.0, 1.0, 0.0)
+    space = qubits(2)
+    burst = lv.burst_interaction(
+        0.1, 0.1, [SIGMA_Z, SIGMA_Z], Ket(space, np.full(4, 0.5)), Ket(space, np.full(4, 0.5))
+    )
+    for spec in (_single_channel_spec(), burst):
+        with pytest.raises(ValueError, match="dimension 3.*dimension 2"):
+            lv.integrate(rs0, spec, steps=50)
+
+
 def test_integrate_warns_outside_validity():
     spec = _single_channel_spec(lam=2.0, t_final=1.0)
     with pytest.warns(RuntimeWarning, match="weak-coupling"):
@@ -557,6 +570,26 @@ def test_burst_generators_match_written_equation_for_any_system_operator():
             want = _written_rhs(spec, m, t, mat, window=n)
             got = _generated(spec, m, t, mat, window=n)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+
+def test_one_particle_burst_compiles_to_the_continuous_equation():
+    # one particle met over [0, tau] is the continuous coupling with T = tau:
+    # both specs list the same entries, so the generators agree to the bit
+    rng = np.random.default_rng(24)
+    env = qubits(1)
+    for _ in range(50):
+        while True:
+            s = random_hermitian(QUBIT, rng).entries
+            if np.max(np.abs(s @ s - np.eye(2))) > 0.1:
+                break
+        l_op = random_hermitian(env, rng)
+        e1, e2 = random_ket(env, rng), random_ket(env, rng)
+        lam, tau = rng.uniform(0.01, 0.5), rng.uniform(0.01, 2.0)
+        burst = lv.burst_interaction(lam, tau, [l_op.entries], e1, e2, sys_op=s)
+        cont = lv.continuous_interaction(lam, [Operator(QUBIT, s)], [l_op], e1, e2, t_final=tau)
+        m = lv.weak_moments(cont)
+        for got, want in zip(burst.generators(m, 0), cont.generators(m)):
+            assert np.array_equal(got, want)
 
 
 def test_burst_integration_matches_windowed_closed_form():

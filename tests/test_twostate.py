@@ -566,21 +566,25 @@ def test_env_post_only_against_joint_space_oracle():
         assert probs[lab] == pytest.approx(weights[lab] / total, abs=1e-11)
 
 
-@pytest.mark.parametrize("scale", [1e-7, 1e5, 1e7])
+@pytest.mark.parametrize("scale", [1e-85, 1e-7, 1e5, 1e7, 1e80])
 def test_conditioned_rules_independent_of_the_kets_scale(scale):
     # every overlap and amplitude is judged relative to the norms it is built
-    # from, so scaled kets give the unit kets' distribution
+    # from, so scaled kets give the unit kets' distribution; at 1e-85 and 1e80
+    # the two-state's entries (near 1e-170 and 1e160) have squares that
+    # under- and overflow
     rng = np.random.default_rng(41)
     pin, pout = random_ket(QUBIT, rng), random_ket(QUBIT, rng)
     h = random_hermitian(QUBIT, rng)
     ps = ProjectorSet.from_basis([Ket(QUBIT, c) for c in random_unitary(2, rng).T])
-    unit = prob_pre_post(from_conditions(pin, pout, h, 0.0, 1.0, 0.3), ps)
-    scaled = prob_pre_post(
-        from_conditions(Ket(QUBIT, scale * pin.amps), Ket(QUBIT, scale * pout.amps), h, 0.0, 1.0, 0.3),
-        ps,
+    unit_ts = from_conditions(pin, pout, h, 0.0, 1.0, 0.3)
+    scaled_ts = from_conditions(
+        Ket(QUBIT, scale * pin.amps), Ket(QUBIT, scale * pout.amps), h, 0.0, 1.0, 0.3
     )
-    for lab in unit:
-        assert scaled[lab] == pytest.approx(unit[lab], abs=1e-12)
+    assert not scaled_ts.is_flagged_orthogonal()
+    for rule in (prob_pre_post, prob_pre_only):
+        unit, scaled = rule(unit_ts, ps), rule(scaled_ts, ps)
+        for lab in unit:
+            assert scaled[lab] == pytest.approx(unit[lab], abs=1e-12)
 
     p = sb.random_params(rng, 3, system_post=False)
     s1, _ = sb.system_kets(p)
