@@ -24,7 +24,6 @@ __all__ = [
     "SINCOS_MAX_ARG",
     "sincos",
     "hypot",
-    "cabs",
     "cmul",
     "cdiv",
     "join",
@@ -104,23 +103,16 @@ def sincos(x: float) -> tuple[float, float]:
     return -kc, ks
 
 
-def hypot(x: float, y: float) -> float:
-    """sqrt(x^2 + y^2) without overflow or underflow, within about one ulp."""
-    x, y = abs(x), abs(y)
-    big = max(x, y)
-    if big == 0.0 or math.isinf(big):
-        return big
-    if math.isnan(x) or math.isnan(y):
-        return math.nan
-    e = math.frexp(big)[1]
-    xs, ys = math.ldexp(x, -e), math.ldexp(y, -e)
-    return math.ldexp(math.sqrt(xs * xs + ys * ys), e)
+def hypot(x, y):
+    """sqrt(x^2 + y^2) elementwise, without overflow or underflow, within about one ulp.
 
-
-def cabs(z: complex) -> float:
-    """|z| through :func:`hypot`."""
-    z = complex(z)
-    return hypot(z.real, z.imag)
+    Infinite where x or y is, else NaN where either is.
+    """
+    x, y = np.abs(x), np.abs(y)
+    e = np.frexp(np.maximum(x, y))[1]  # 0 for 0, inf and nan
+    xs, ys = np.ldexp(x, -e), np.ldexp(y, -e)
+    out = np.ldexp(np.sqrt(xs * xs + ys * ys), e)
+    return np.where(np.isinf(x) | np.isinf(y), np.inf, out)[()]
 
 
 def cmul(a: complex, b: complex) -> complex:

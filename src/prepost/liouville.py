@@ -80,7 +80,6 @@ import numpy as np
 
 from .detmath import (
     SINCOS_MAX_ARG,
-    cabs,
     cdiv,
     cmatmul,
     cmul,
@@ -95,7 +94,7 @@ from .qcore import (
     DIAGONAL_TOL, HERMITIAN_TOL, SIGMA_Z, HilbertSpace, Ket, Operator, ProductKet, propagate, qubits,
     require_hermitian,
 )
-from .twostate import OVERLAP_TOL, FormalismError, TwoState, purity
+from .twostate import OVERLAP_TOL, FormalismError, TwoState, _purities, _unit_scaled
 
 __all__ = [
     "ContinuousSpec",
@@ -136,17 +135,22 @@ def _with_delta(l_w: np.ndarray, second: np.ndarray) -> WeakMoments:
     return WeakMoments(l_w=l_w, delta=delta)
 
 
-def _dense_moments(e_in: np.ndarray, e_out: np.ndarray, applied: list, backs) -> WeakMoments:
+def _dense_moments(e_in: np.ndarray, e_out: np.ndarray, ops: list, act) -> WeakMoments:
     """Moments from <e_out|e_in>, <e_out|L_j e_in> and <L_i^dagger e_out|L_j e_in>.
 
-    ``applied[j]`` is L_j e_in and ``backs`` yields L_i^dagger e_out in
-    order; every dot is a real-split sum of fixed order. The conditions are
-    orthogonal when |<e_out|e_in>| <= OVERLAP_TOL |e_in| |e_out|, judged
-    relative to the kets so that their scale does not matter.
+    ``act(op, j, ket)`` applies ``op``, ``ops[j]`` or its adjoint, to a ket.
+    Both kets are first scaled by exact powers of two (:func:`_unit_scaled`):
+    no square under- or overflows, and the moments, ratios of real-split dots
+    of fixed order, keep their bits. The conditions are orthogonal when
+    |<e_out|e_in>| <= OVERLAP_TOL |e_in| |e_out|.
     """
+    (e_in, _), (e_out, _) = _unit_scaled(e_in), _unit_scaled(e_out)
+    applied = [act(op, j, e_in) for j, op in enumerate(ops)]
+    backs = (act(op.conj().T, i, e_out) for i, op in enumerate(ops))
     den, nout, *firsts = split_vdots(e_out, [e_in, e_out, *applied])
     (nin,) = split_vdots(e_in, [e_in])
-    if cabs(den) <= OVERLAP_TOL * math.sqrt(nin.real) * math.sqrt(nout.real):
+    # squares of unit-scaled dots: no underflow near the threshold
+    if den.real * den.real + den.imag * den.imag <= OVERLAP_TOL * OVERLAP_TOL * nin.real * nout.real:
         raise FormalismError("orthogonal environment conditions: weak moments undefined")
     l_w = np.array([cdiv(x, den) for x in firsts])
     second = np.array([[cdiv(x, den) for x in split_vdots(back, applied)] for back in backs])
@@ -249,11 +253,8 @@ class ContinuousSpec:
         return "lam*T", self.lam * self.t_final, 1.0
 
     def moments(self) -> WeakMoments:
-        e_in, e_out = self.env_in.amps, self.env_out.amps
         ops = [l.entries for l in self.l_ops]
-        applied = [_apply(o, e_in) for o in ops]
-        backs = (_apply(o.conj().T, e_out) for o in ops)
-        return _dense_moments(e_in, e_out, applied, backs)
+        return _dense_moments(self.env_in.amps, self.env_out.amps, ops, lambda op, _j, v: _apply(op, v))
 
     def generators(self, moments: WeakMoments) -> tuple:
         """(G0, G1) of [0, T]: every channel is on throughout, so a = t and b = T - t."""
@@ -307,20 +308,16 @@ class BurstSpec:
             # the product of all overlaps underflows for long environments
             # whose every factor is well conditioned
             for k, (op, (a, b)) in enumerate(zip(ops, pairs)):
-                applied = [_apply_particle(op, 0, (a.size,), a)]
-                back = [_apply_particle(op.conj().T, 0, (b.size,), b)]
                 try:
-                    m = _dense_moments(a, b, applied, back)
+                    m = _dense_moments(a, b, [op], lambda o, j, v: _apply_particle(o, j, (v.size,), v))
                 except FormalismError as exc:
                     raise FormalismError(f"particle {k}: {exc}") from None
                 l_w[k], delta[k, k] = m.l_w[0], m.delta[0, 0]
             return WeakMoments(l_w=l_w, delta=delta)
-        e1 = self.env_in.amps
-        e2 = self.env_out.amps
         dims = self.env_in.space.factor_dims
-        applied = [_apply_particle(ops[k], k, dims, e1) for k in range(n)]
-        backs = (_apply_particle(ops[i].conj().T, i, dims, e2) for i in range(n))
-        return _dense_moments(e1, e2, applied, backs)
+        return _dense_moments(
+            self.env_in.amps, self.env_out.amps, ops, lambda op, j, v: _apply_particle(op, j, dims, v)
+        )
 
     def generators(self, moments: WeakMoments, window: int) -> tuple:
         """(G0, G1) of burst window n.
@@ -355,8 +352,8 @@ class Trajectory:
     """Two-state matrices ``mats[i]`` at ``times[i]`` of one integration.
 
     ``coherence`` (|rho_01| for a qubit, else the largest off-diagonal
-    magnitude) covers every step; :class:`TwoState` objects (:meth:`state`,
-    ``states``) and the purity of rho rho† are built only on request. Every
+    magnitude) covers every step; :class:`TwoState` objects (``states``)
+    and the purity of rho rho† are built only on request. Every
     matrix has, to rounding, the initial two-state's trace, its boundary
     overlap, which the equation's commutators conserve.
     """
@@ -372,17 +369,13 @@ class Trajectory:
         off = self.mats[:, 0, 1:] if d == 2 else self.mats[:, ~np.eye(d, dtype=bool)]
         self.coherence = np.abs(off).max(axis=1)
 
-    def state(self, i: int) -> TwoState:
-        """The two-state at step i."""
-        return TwoState(self.space, self.mats[i], 0.0, self.t_final, float(self.times[i]))
-
     @cached_property
     def states(self) -> list:
-        return [self.state(i) for i in range(len(self.times))]
+        return [TwoState(self.space, m, 0.0, self.t_final, float(t)) for t, m in zip(self.times, self.mats)]
 
     @cached_property
     def purity(self) -> np.ndarray:
-        return np.array([purity(m @ m.conj().T) for m in self.mats])
+        return _purities(cmatmul(self.mats, self.mats.conj().swapaxes(1, 2)))
 
 
 def continuous_interaction(

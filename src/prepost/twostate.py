@@ -24,12 +24,13 @@ Intermediate-time probabilities come from squared projections of the
 two-state onto measurement projectors, not from the Born rule; the Born rule
 is recovered when only the initial condition is imposed.
 
-The numbers the CLI writes are the same bits on every machine: the purity
-and the a-independence score use real float operations of fixed order in
-any dimension, and for a single qubit (2x2 matrices) the singular values
-and the effective densities have closed-form kernels built from
-:mod:`prepost.detmath` operations; other dimensions use LAPACK/BLAS for
-those two.
+The numbers the CLI writes are the same bits on every machine. The purity,
+the effective densities and the a-independence score use real float
+operations of fixed order in any dimension; the singular values have a
+closed form for a single qubit (2x2 matrices) and use LAPACK otherwise.
+Each is one kernel over a leading batch axis (``_purities``,
+``_effective_densities``, ``_scores``, ``_singular_values``), which the CLI
+calls once per column and the one-matrix functions with a batch of one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .detmath import cmul, hypot, join
+from .detmath import hypot, join
 from .qcore import HERMITIAN_TOL, HilbertSpace, Ket, Operator, partial_trace, propagate, require_hermitian
 
 __all__ = [
@@ -124,11 +125,6 @@ class TwoState:
         return abs(complex(np.trace(m))) <= OVERLAP_TOL * float(np.linalg.norm(m))
 
 
-def _entries2(m) -> tuple[complex, complex, complex, complex]:
-    (a, b), (c, d) = np.asarray(m).tolist()
-    return complex(a), complex(b), complex(c), complex(d)
-
-
 def _unit_scaled(m) -> tuple[np.ndarray, int]:
     """(m 2^-e, e), e putting m's largest real or imaginary part in [1/2, 1).
 
@@ -140,45 +136,49 @@ def _unit_scaled(m) -> tuple[np.ndarray, int]:
     return (np.ldexp(parts, -e) if e else parts).view(complex), e
 
 
-def _singular_values_2x2(m) -> tuple[float, float]:
-    """(s1, s2) of a 2x2 matrix from its Gram matrix H = M^dagger M.
+def _unit_scaled_rows(m) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_unit_scaled` of each m[k] of a stack: (m[k] 2^-e[k], e[k])."""
+    parts = np.ascontiguousarray(m, dtype=complex).view(np.float64)
+    e = np.frexp(np.abs(parts).reshape(len(parts), -1).max(axis=1))[1]
+    return np.ldexp(parts, -e.reshape((-1,) + (1,) * (parts.ndim - 1))).view(complex), e
 
-    s1^2 = (tr H + sqrt((h11 - h22)^2 + 4|h12|^2)) / 2, the discriminant
-    tr(H)^2 - 4 det(H) = ||M||_F^4 - 4|det M|^2 written as a sum of squares so
-    it never cancels, and s2 = |det M| / s1. The entries are first scaled by a
-    power of two (:func:`_unit_scaled`) so the largest is in [1/2, 1): no
-    square under- or overflows. Both values have absolute error of a few ulp
-    of s1, as LAPACK's.
-    """
-    scaled, e = _unit_scaled(m)
-    ar, ai, br, bi, cr, ci, dr, di = parts = scaled.view(np.float64).ravel().tolist()
-    big = max(map(abs, parts))
-    if big == 0.0:
-        return 0.0, 0.0
-    if not math.isfinite(big):
+
+def _singular_values(mats) -> np.ndarray:
+    """:func:`singular_values` of each matrix of an (n, d, d) stack, shape (n, d)."""
+    m = np.asarray(mats, dtype=complex)
+    if m.shape[1:] != (2, 2):
+        return np.linalg.svd(m, compute_uv=False)
+    scaled, e = _unit_scaled_rows(m)
+    parts = scaled.view(np.float64).reshape(-1, 8)
+    if not np.isfinite(parts).all():
         raise ValueError("singular values of a matrix with non-finite entries")
+    ar, ai, br, bi, cr, ci, dr, di = parts.T
     h11 = (ar * ar + ai * ai) + (cr * cr + ci * ci)
     h22 = (br * br + bi * bi) + (dr * dr + di * di)
     h12r = (ar * br + ai * bi) + (cr * dr + ci * di)
     h12i = (ar * bi - ai * br) + (cr * di - ci * dr)
     diff = h11 - h22
-    gap = math.sqrt(diff * diff + 4.0 * (h12r * h12r + h12i * h12i))
-    s1 = math.sqrt(0.5 * ((h11 + h22) + gap))
+    gap = np.sqrt(diff * diff + 4.0 * (h12r * h12r + h12i * h12i))
+    s1 = np.sqrt(0.5 * ((h11 + h22) + gap))
     det = hypot((ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr))
-    s2 = min(det / s1, s1)
-    return math.ldexp(s1, e), math.ldexp(s2, e)
+    # a zero matrix has s1 = det = 0
+    s2 = np.minimum(det / np.where(s1 == 0.0, 1.0, s1), s1)
+    return np.ldexp(np.stack([s1, s2], axis=1), e[:, None])
 
 
 def singular_values(mat) -> np.ndarray:
-    """Singular values of a square matrix, descending.
+    """Singular values of a square matrix, descending, from LAPACK unless it is 2x2.
 
-    2x2 matrices use a closed form of basic floating-point operations (the
-    same bits on every machine); larger ones use LAPACK.
+    A 2x2 matrix takes them from its Gram matrix H = M^dagger M in basic
+    floating-point operations, the same bits on every machine:
+    s1^2 = (tr H + sqrt((h11 - h22)^2 + 4|h12|^2)) / 2, the discriminant
+    tr(H)^2 - 4 det(H) = ||M||_F^4 - 4|det M|^2 written as a sum of squares so
+    it never cancels, and s2 = |det M| / s1. The matrix is first scaled by a
+    power of two (:func:`_unit_scaled`) so its largest entry is in [1/2, 1):
+    no square under- or overflows. Both values have absolute error of a few
+    ulp of s1, as LAPACK's.
     """
-    m = np.asarray(mat)
-    if m.shape == (2, 2):
-        return np.array(_singular_values_2x2(m))
-    return np.linalg.svd(m, compute_uv=False)
+    return _singular_values(np.asarray(mat)[None])[0]
 
 
 def schmidt_spectrum(ts: TwoState) -> np.ndarray:
@@ -362,19 +362,22 @@ def _split_env(space: HilbertSpace, env_space: HilbertSpace) -> tuple[int, Hilbe
     return sys_space.total_dim, sys_space
 
 
-def _free_overlap(h_e: Operator, big_t: float, e1: Ket, e2: Ket) -> complex:
-    """<e2| exp(-i h_e T) |e1>, the free environment overlap over T = ``big_t``.
+def _free_overlap(h_e: Operator, big_t: float, e1: Ket, e2: Ket) -> tuple:
+    """(<f2| exp(-i h_e T) |f1>, f1, f2, s), the free environment overlap over T = ``big_t``
+    of e1 and e2 scaled by exact powers of two (:func:`_unit_scaled`), 2^-s in all.
 
-    Raises :class:`FormalismError` when the conditions are orthogonal,
-    judged relative to |e1| |e2| (``OVERLAP_TOL``).
+    No square under- or overflows, and a ratio of products of f1 and f2 keeps
+    its bits. Raises :class:`FormalismError` when the conditions are
+    orthogonal, judged relative to |f1| |f2| (``OVERLAP_TOL``).
     """
     if e1.space != e2.space or h_e.space != e1.space:
         raise ValueError("environment kets and Hamiltonian must share one space")
     require_hermitian(h_e, "free environment Hamiltonian")
-    overlap = complex(np.vdot(e2.amps, propagate(h_e, float(big_t), e1.amps)))
-    if abs(overlap) <= OVERLAP_TOL * e1.norm * e2.norm:
+    (f1, s1), (f2, s2) = _unit_scaled(e1.amps), _unit_scaled(e2.amps)
+    overlap = complex(np.vdot(f2, propagate(h_e, float(big_t), f1)))
+    if abs(overlap) <= OVERLAP_TOL * float(np.linalg.norm(f1)) * float(np.linalg.norm(f2)):
         raise FormalismError("orthogonal free environment conditions: the overlap vanishes")
-    return overlap
+    return overlap, f1, f2, s1 + s2
 
 
 def reduce_over_environment(joint: TwoState, h_e: Operator, e1: Ket, e2: Ket) -> TwoState:
@@ -384,10 +387,11 @@ def reduce_over_environment(joint: TwoState, h_e: Operator, e1: Ket, e2: Ket) ->
     environment overlap; it is time independent, so the reduced two-state
     obeys the same dynamics as the unnormalized trace.
     """
-    n_amp = _free_overlap(h_e, joint.t2 - joint.t1, e1, e2)
+    n_amp, _, _, s = _free_overlap(h_e, joint.t2 - joint.t1, e1, e2)
     _, sys_space = _split_env(joint.space, e1.space)
-    reduced = partial_trace(Operator(joint.space, joint.mat), range(sys_space.n_factors))
-    return TwoState(sys_space, reduced.entries / n_amp, joint.t1, joint.t2, joint.t)
+    reduced = partial_trace(Operator(joint.space, joint.mat), range(sys_space.n_factors)).entries / n_amp
+    reduced = np.ldexp(reduced.view(np.float64), -s).view(complex)
+    return TwoState(sys_space, reduced, joint.t1, joint.t2, joint.t)
 
 
 def weak_value(
@@ -406,8 +410,8 @@ def weak_value(
     if o.space != e1.space:
         raise ValueError("operator and environment kets live on different spaces")
     big_t = float(t2) - float(t1)
-    den = _free_overlap(h_e, big_t, e1, e2)
-    num = complex(np.vdot(e2.amps, propagate(h_e, big_t, o.entries @ e1.amps)))
+    den, f1, f2, _ = _free_overlap(h_e, big_t, e1, e2)
+    num = complex(np.vdot(f2, propagate(h_e, big_t, o.entries @ f1)))
     return num / den
 
 
@@ -430,11 +434,11 @@ def weak_evolution_operator(
     big_t = float(t2) - float(t1)
 
     require_hermitian(h_tot, "joint Hamiltonian")
-    den = _free_overlap(h_e, big_t, e1, e2)
+    den, f1, f2, _ = _free_overlap(h_e, big_t, e1, e2)
 
-    # column b is U(T) (|b> (x) |e1>); W_ab contracts its environment part with <e2|
-    cols = propagate(h_tot, big_t, np.kron(np.eye(ds), e1.amps[:, None]))
-    num = np.einsum("m,amb->ab", np.conj(e2.amps), cols.reshape(ds, de, ds))
+    # column b is U(T) (|b> (x) |f1>); W_ab contracts its environment part with <f2|
+    cols = propagate(h_tot, big_t, np.kron(np.eye(ds), f1[:, None]))
+    num = np.einsum("m,amb->ab", np.conj(f2), cols.reshape(ds, de, ds))
     return Operator(sys_space, num / den)
 
 
@@ -458,47 +462,62 @@ class EffectiveDensity:
     def a_independence_score(self) -> float:
         """Worst pairwise Frobenius distance between trace-normalized outcomes.
 
-        Uses real float operations and numpy's pairwise sums only, so the
-        score is the same bits on every machine.
+        Outcomes whose trace is at most 1e-14 of the largest are skipped. Uses
+        real float operations and numpy's pairwise sums only, so the score is
+        the same bits on every machine.
         """
-        mats = []
-        traces = [float(m.trace().real) for m in self.outcomes.values()]
-        floor = 1e-14 * max(traces) if traces else 0.0
-        for m, tr in zip(self.outcomes.values(), traces):
-            if tr > floor:
-                mats.append(np.stack([m.real, m.imag]) / tr)
-        score = 0.0
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                diff = mats[i] - mats[j]
-                score = max(score, math.sqrt(float((diff * diff).sum())))
-        return score
+        if not self.outcomes:
+            return 0.0
+        return float(_scores(np.stack(list(self.outcomes.values()))[None])[0])
 
 
-def _matmul2(x: tuple, y: tuple) -> tuple:
-    """Product of two 2x2 matrices given as row-major entry 4-tuples."""
-    return (
-        cmul(x[0], y[0]) + cmul(x[1], y[2]),
-        cmul(x[0], y[1]) + cmul(x[1], y[3]),
-        cmul(x[2], y[0]) + cmul(x[3], y[2]),
-        cmul(x[2], y[1]) + cmul(x[3], y[3]),
-    )
+def _products(xr, xi, yr, yi) -> tuple[np.ndarray, np.ndarray]:
+    """Split complex x @ y over the last two axes, broadcast over the leading ones.
+
+    Each term x_ij y_jk is formed as :func:`~prepost.detmath.cmul` forms it,
+    and the terms are summed from zero in order of j.
+    """
+    f = [(xr[..., :, j : j + 1], xi[..., :, j : j + 1], yr[..., j : j + 1, :], yi[..., j : j + 1, :])
+         for j in range(xr.shape[-1])]
+    return sum(ar * br - ai * bi for ar, ai, br, bi in f), sum(ar * bi + ai * br for ar, ai, br, bi in f)
 
 
-def _effective_density_2x2(two_states: Sequence[TwoState], ps: ProjectorSet) -> dict:
-    """Per-outcome sum of M P M^dagger, Hermitian part, in real arithmetic."""
-    mats = [_entries2(ts.mat) for ts in two_states]
-    adjs = [(m[0].conjugate(), m[2].conjugate(), m[1].conjugate(), m[3].conjugate()) for m in mats]
-    out = {}
-    for lab, p in zip(ps.labels, ps.projectors):
-        proj = _entries2(p.entries)
-        acc = (0j, 0j, 0j, 0j)
-        for m, m_adj in zip(mats, adjs):
-            term = _matmul2(_matmul2(m, proj), m_adj)
-            acc = tuple(x + y for x, y in zip(acc, term))
-        off = complex(0.5 * (acc[1].real + acc[2].real), 0.5 * (acc[1].imag - acc[2].imag))
-        out[lab] = np.array([[acc[0].real, off], [off.conjugate(), acc[3].real]], dtype=complex)
-    return out
+def _effective_densities(family, projectors) -> np.ndarray:
+    """Outcome matrices of each row of an (n, k, d, d) stack of two-states, shape (n, p, d, d).
+
+    Outcome a of row r is the Hermitian part of sum_s M_s P_a M_s^dagger
+    over the row's k two-states M_s, summed in order from zero, for the
+    (p, d, d) ``projectors`` P_a: real float operations of fixed order
+    (:func:`_products`).
+    """
+    f = np.asarray(family, dtype=complex)[:, :, None]
+    p = np.asarray(projectors, dtype=complex)
+    m_r, m_i = f.real, f.imag
+    h_r, h_i = _products(m_r, m_i, p.real, p.imag)
+    t_r, t_i = _products(h_r, h_i, m_r.swapaxes(-1, -2), -m_i.swapaxes(-1, -2))
+    acc_r, acc_i = (sum(t[:, s] for s in range(f.shape[1])) for t in (t_r, t_i))
+    # Hermitian part: the diagonal's real part, the upper triangle's mean with
+    # the lower's conjugate, and the lower triangle its exact conjugate
+    d = p.shape[-1]
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    re = np.where(np.eye(d, dtype=bool), acc_r, 0.5 * (acc_r + acc_r.swapaxes(-1, -2)))
+    im = 0.5 * (acc_i - acc_i.swapaxes(-1, -2))
+    return join(re, np.where(upper, im, np.where(upper.T, -im.swapaxes(-1, -2), 0.0)))
+
+
+def _scores(outcomes) -> np.ndarray:
+    """:meth:`EffectiveDensity.a_independence_score` of each row of an (n, p, d, d) outcome stack."""
+    tr = sum(outcomes[..., k, k].real for k in range(outcomes.shape[-1]))
+    keep = tr > 1e-14 * tr.max(axis=1, keepdims=True)
+    scale = np.where(keep, tr, 1.0)[..., None, None, None]
+    normed = np.stack([outcomes.real, outcomes.imag], axis=2) / scale
+    score = np.zeros(len(outcomes))
+    for i in range(outcomes.shape[1]):
+        for j in range(i + 1, outcomes.shape[1]):
+            diff = normed[:, i] - normed[:, j]
+            dist = np.sqrt((diff * diff).sum(axis=(1, 2, 3)))
+            score = np.maximum(score, np.where(keep[:, i] & keep[:, j], dist, 0.0))
+    return score
 
 
 def effective_density(two_states: Sequence[TwoState], ps: ProjectorSet) -> EffectiveDensity:
@@ -514,16 +533,9 @@ def effective_density(two_states: Sequence[TwoState], ps: ProjectorSet) -> Effec
             raise ValueError("all two-states must be taken at the same time")
     if ps.space != space:
         raise ValueError("projectors and two-states live on different spaces")
-    if space.total_dim == 2:
-        return EffectiveDensity(_effective_density_2x2(two_states, ps))
-    out = {}
-    for lab, p in zip(ps.labels, ps.projectors):
-        rho = np.zeros((space.total_dim,) * 2, dtype=complex)
-        for ts in two_states:
-            half = ts.mat @ p.entries
-            rho += half @ ts.mat.conj().T
-        out[lab] = (rho + rho.conj().T) / 2.0
-    return EffectiveDensity(out)
+    family = np.stack([ts.mat for ts in two_states])[None]
+    outcomes = _effective_densities(family, np.stack([p.entries for p in ps.projectors]))[0]
+    return EffectiveDensity(dict(zip(ps.labels, outcomes)))
 
 
 def prob_env_post_only(
@@ -565,23 +577,29 @@ def prob_env_post_only(
     return _normalized(weights, float(np.linalg.norm(reduced)), "vanishing denominator")
 
 
-def purity(rho) -> float:
-    """tr(rho^2)/tr(rho)^2 for a positive matrix; 1 exactly on pure states.
-
-    tr(rho^2) = sum_ij rho_ij rho_ji is summed from real products, so the
-    value is the same bits on every machine; 2x2 matrices take the expanded
-    sum in plain floats.
-    """
-    m = rho.entries if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
-    if m.shape == (2, 2):
-        a, b, c, d = _entries2(m)
-        tr = a.real + d.real
-        tr_sq = (a.real * a.real - a.imag * a.imag) + 2.0 * cmul(b, c).real + (
+def _purities(rhos) -> np.ndarray:
+    """:func:`purity` of each matrix of an (n, d, d) stack, shape (n,)."""
+    m, _ = _unit_scaled_rows(rhos)
+    tr = sum(m[..., k, k].real for k in range(m.shape[-1]))
+    if m.shape[-1] == 2:
+        a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+        tr_sq = ((a.real * a.real - a.imag * a.imag) + 2.0 * (b.real * c.real - b.imag * c.imag)) + (
             d.real * d.real - d.imag * d.imag
         )
     else:
-        tr = float(m.trace().real)
-        tr_sq = float((m.real * m.real.T - m.imag * m.imag.T).sum())
-    if tr <= 0.0:
+        tr_sq = (m.real * m.real.swapaxes(1, 2) - m.imag * m.imag.swapaxes(1, 2)).sum(axis=(1, 2))
+    if (tr <= 0.0).any():
         raise FormalismError("purity undefined for zero or negative trace")
     return tr_sq / (tr * tr)
+
+
+def purity(rho) -> float:
+    """tr(rho^2)/tr(rho)^2 for a positive matrix; 1 exactly on pure states.
+
+    rho is first scaled by a power of two (:func:`_unit_scaled`), which
+    leaves the ratio's bits unchanged, and tr(rho^2) = sum_ij rho_ij rho_ji
+    is summed from real products (2x2 matrices take the expanded sum), so the
+    value is the same bits on every machine at any scale of rho.
+    """
+    m = rho.entries if isinstance(rho, Operator) else np.asarray(rho, dtype=complex)
+    return float(_purities(m[None])[0])

